@@ -1,55 +1,13 @@
 #include "exp/campaign/campaign_journal.hpp"
 
-#include <cctype>
-#include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
+
+#include "robust/line_codec.hpp"
 
 namespace pftk::exp::campaign {
 
 namespace {
-
-// ---- serialization -------------------------------------------------------
-
-void append_escaped(std::string& out, const std::string& s) {
-  out += '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
-
-/// Round-trip-exact, locale-independent double rendering.
-std::string fmt_double(double value) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", value);
-  return buf;
-}
 
 void append_fault_stats(std::string& out, const sim::FaultStats& stats) {
   out += '[';
@@ -65,161 +23,35 @@ void append_fault_stats(std::string& out, const sim::FaultStats& stats) {
   out += ']';
 }
 
-// ---- parsing -------------------------------------------------------------
-
-/// Cursor over one JSON line; supports exactly the subset to_json emits
-/// (flat object of string / number / number-array values).
-class Scanner {
- public:
-  explicit Scanner(const std::string& line) : s_(line) {}
-
-  void expect(char c) {
-    skip_ws();
-    if (pos_ >= s_.size() || s_[pos_] != c) {
-      fail(std::string("expected '") + c + "'");
-    }
-    ++pos_;
-  }
-
-  [[nodiscard]] bool consume(char c) {
-    skip_ws();
-    if (pos_ < s_.size() && s_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  [[nodiscard]] std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (pos_ < s_.size() && s_[pos_] != '"') {
-      char c = s_[pos_++];
-      if (c == '\\') {
-        if (pos_ >= s_.size()) {
-          fail("dangling escape");
-        }
-        const char esc = s_[pos_++];
-        switch (esc) {
-          case 'n':
-            c = '\n';
-            break;
-          case 't':
-            c = '\t';
-            break;
-          case 'r':
-            c = '\r';
-            break;
-          case 'u': {
-            if (pos_ + 4 > s_.size()) {
-              fail("short \\u escape");
-            }
-            c = static_cast<char>(
-                std::stoi(s_.substr(pos_, 4), nullptr, 16));
-            pos_ += 4;
-            break;
-          }
-          default:
-            c = esc;  // \" and \\ (and anything else verbatim)
-        }
-      }
-      out += c;
-    }
-    if (pos_ >= s_.size()) {
-      fail("unterminated string");
-    }
-    ++pos_;  // closing quote
-    return out;
-  }
-
-  [[nodiscard]] double parse_number() {
-    skip_ws();
-    const std::size_t start = pos_;
-    while (pos_ < s_.size() &&
-           (std::isdigit(static_cast<unsigned char>(s_[pos_])) != 0 ||
-            s_[pos_] == '-' || s_[pos_] == '+' || s_[pos_] == '.' ||
-            s_[pos_] == 'e' || s_[pos_] == 'E')) {
-      ++pos_;
-    }
-    if (pos_ == start) {
-      fail("expected a number");
-    }
-    return std::stod(s_.substr(start, pos_ - start));
-  }
-
-  [[nodiscard]] std::vector<double> parse_number_array() {
-    expect('[');
-    std::vector<double> out;
-    if (consume(']')) {
-      return out;
-    }
-    do {
-      out.push_back(parse_number());
-    } while (consume(','));
-    expect(']');
-    return out;
-  }
-
-  void skip_value() {
-    skip_ws();
-    if (pos_ >= s_.size()) {
-      fail("expected a value");
-    }
-    if (s_[pos_] == '"') {
-      (void)parse_string();
-    } else if (s_[pos_] == '[') {
-      (void)parse_number_array();
-    } else {
-      (void)parse_number();
-    }
-  }
-
-  [[noreturn]] void fail(const std::string& what) const {
-    throw std::invalid_argument("journal entry: " + what + " at offset " +
-                                std::to_string(pos_) + " in: " + s_);
-  }
-
- private:
-  void skip_ws() {
-    while (pos_ < s_.size() &&
-           (s_[pos_] == ' ' || s_[pos_] == '\t')) {
-      ++pos_;
-    }
-  }
-
-  const std::string& s_;
-  std::size_t pos_ = 0;
-};
-
-sim::FaultStats fault_stats_from_array(const std::vector<double>& fields) {
+sim::FaultStats fault_stats_from_json(const robust::JsonLine& json, std::string_view key) {
+  const std::vector<std::uint64_t> fields = json.integers<std::uint64_t>(key);
   if (fields.size() != 6) {
     throw std::invalid_argument("journal entry: fault-stats array needs 6 fields");
   }
   sim::FaultStats stats;
-  stats.offered = static_cast<std::uint64_t>(fields[0]);
-  stats.dropped_blackout = static_cast<std::uint64_t>(fields[1]);
-  stats.dropped_loss = static_cast<std::uint64_t>(fields[2]);
-  stats.duplicated = static_cast<std::uint64_t>(fields[3]);
-  stats.reordered = static_cast<std::uint64_t>(fields[4]);
-  stats.delayed = static_cast<std::uint64_t>(fields[5]);
+  stats.offered = fields[0];
+  stats.dropped_blackout = fields[1];
+  stats.dropped_loss = fields[2];
+  stats.duplicated = fields[3];
+  stats.reordered = fields[4];
+  stats.delayed = fields[5];
   return stats;
 }
 
 }  // namespace
 
 std::string JournalEntry::to_json() const {
-  std::string out = "{\"item\":" + std::to_string(index) + ",\"key\":";
-  append_escaped(out, key);
-  out += ",\"status\":";
+  std::string out = "{\"item\":" + std::to_string(index) + ",\"key\":\"" +
+                    robust::json_escape(key) + "\",\"status\":";
   out += ok ? "\"ok\"" : "\"failed\"";
   out += ",\"attempts\":" + std::to_string(attempts);
   if (ok) {
     out += ",\"packets\":" + std::to_string(metrics.packets_sent);
-    out += ",\"send_rate\":" + fmt_double(metrics.send_rate);
-    out += ",\"p\":" + fmt_double(metrics.p);
-    out += ",\"rtt\":" + fmt_double(metrics.rtt);
-    out += ",\"t0\":" + fmt_double(metrics.t0);
-    out += ",\"predicted\":" + fmt_double(metrics.predicted);
+    out += ",\"send_rate\":" + robust::format_double(metrics.send_rate);
+    out += ",\"p\":" + robust::format_double(metrics.p);
+    out += ",\"rtt\":" + robust::format_double(metrics.rtt);
+    out += ",\"t0\":" + robust::format_double(metrics.t0);
+    out += ",\"predicted\":" + robust::format_double(metrics.predicted);
     out += ",\"ff\":";
     append_fault_stats(out, metrics.forward_faults);
     out += ",\"rf\":";
@@ -229,70 +61,37 @@ std::string JournalEntry::to_json() const {
     out += failure_class_name(failure_class);
     out += "\",\"kind\":\"";
     out += failure_kind_name(failure_kind);
-    out += "\",\"error\":";
-    append_escaped(out, error);
+    out += "\",\"error\":\"" + robust::json_escape(error) + '"';
   }
   out += '}';
   return out;
 }
 
 JournalEntry JournalEntry::from_json(const std::string& line) {
+  const robust::JsonLine json(line);
   JournalEntry entry;
-  Scanner scan(line);
-  scan.expect('{');
-  bool saw_status = false;
-  if (!scan.consume('}')) {
-    do {
-      const std::string field = scan.parse_string();
-      scan.expect(':');
-      if (field == "item") {
-        entry.index = static_cast<std::size_t>(scan.parse_number());
-      } else if (field == "key") {
-        entry.key = scan.parse_string();
-      } else if (field == "status") {
-        const std::string status = scan.parse_string();
-        if (status != "ok" && status != "failed") {
-          scan.fail("status must be ok|failed");
-        }
-        entry.ok = status == "ok";
-        saw_status = true;
-      } else if (field == "attempts") {
-        entry.attempts = static_cast<int>(scan.parse_number());
-      } else if (field == "packets") {
-        entry.metrics.packets_sent =
-            static_cast<std::uint64_t>(scan.parse_number());
-      } else if (field == "send_rate") {
-        entry.metrics.send_rate = scan.parse_number();
-      } else if (field == "p") {
-        entry.metrics.p = scan.parse_number();
-      } else if (field == "rtt") {
-        entry.metrics.rtt = scan.parse_number();
-      } else if (field == "t0") {
-        entry.metrics.t0 = scan.parse_number();
-      } else if (field == "predicted") {
-        entry.metrics.predicted = scan.parse_number();
-      } else if (field == "ff") {
-        entry.metrics.forward_faults =
-            fault_stats_from_array(scan.parse_number_array());
-      } else if (field == "rf") {
-        entry.metrics.reverse_faults =
-            fault_stats_from_array(scan.parse_number_array());
-      } else if (field == "class") {
-        entry.failure_class = scan.parse_string() == "transient"
-                                  ? FailureClass::kTransient
-                                  : FailureClass::kPermanent;
-      } else if (field == "kind") {
-        entry.failure_kind = failure_kind_from_name(scan.parse_string());
-      } else if (field == "error") {
-        entry.error = scan.parse_string();
-      } else {
-        scan.skip_value();  // forward compatibility
-      }
-    } while (scan.consume(','));
-    scan.expect('}');
+  entry.index = json.integer<std::size_t>("item");
+  entry.key = json.string("key");
+  const std::string& status = json.string("status");
+  if (entry.key.empty() || (status != "ok" && status != "failed")) {
+    throw std::invalid_argument("journal entry: empty key or status not ok|failed");
   }
-  if (!saw_status || entry.key.empty()) {
-    throw std::invalid_argument("journal entry: missing status/key in: " + line);
+  entry.ok = status == "ok";
+  entry.attempts = json.integer<int>("attempts");
+  if (entry.ok) {
+    entry.metrics.packets_sent = json.integer<std::uint64_t>("packets");
+    entry.metrics.send_rate = json.number("send_rate");
+    entry.metrics.p = json.number("p");
+    entry.metrics.rtt = json.number("rtt");
+    entry.metrics.t0 = json.number("t0");
+    entry.metrics.predicted = json.number("predicted");
+    entry.metrics.forward_faults = fault_stats_from_json(json, "ff");
+    entry.metrics.reverse_faults = fault_stats_from_json(json, "rf");
+  } else {
+    entry.failure_class = json.string("class") == "transient" ? FailureClass::kTransient
+                                                              : FailureClass::kPermanent;
+    entry.failure_kind = failure_kind_from_name(json.string("kind"));
+    entry.error = json.string("error");
   }
   return entry;
 }

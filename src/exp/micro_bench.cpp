@@ -26,6 +26,7 @@
 #include "obs/event_loop_stats.hpp"
 #include "obs/flight/flight_recorder.hpp"
 #include "robust/failpoint.hpp"
+#include "robust/line_codec.hpp"
 #include "serve/prepared_cache.hpp"
 #include "serve/protocol.hpp"
 #include "sim/event_queue.hpp"
@@ -583,26 +584,6 @@ TraceMmapOutcome bench_trace_parse_mmap(const MicroBenchConfig& config) {
   return out;
 }
 
-/// Minimal JSON string escaping for host strings (quotes, backslashes,
-/// control bytes — cpuinfo model names are ASCII but not guaranteed).
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x", static_cast<unsigned>(c));
-      out += buf;
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
-
 void write_result(std::ostream& os, const MicroBenchResult& r, bool last) {
   os << "    {\"name\": \"" << r.name << "\", \"unit\": \"" << r.unit
      << "\", \"value\": " << r.value << ", \"per_second\": " << r.per_second
@@ -739,7 +720,7 @@ void write_bench_json(std::ostream& os, const MicroBenchReport& report) {
      << "  \"mode\": \"" << report.mode << "\",\n"
      << "  \"repeats\": " << report.repeats << ",\n"
      << "  \"host\": {\n"
-     << "    \"cpu_model\": \"" << json_escape(report.host.cpu_model) << "\",\n"
+     << "    \"cpu_model\": \"" << robust::json_escape(report.host.cpu_model) << "\",\n"
      << "    \"cores\": " << report.host.cores << ",\n"
      << "    \"page_size\": " << report.host.page_size << "\n"
      << "  },\n"

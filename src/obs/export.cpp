@@ -1,125 +1,21 @@
 #include "obs/export.hpp"
 
-#include <cmath>
 #include <fstream>
-#include <iomanip>
 #include <istream>
-#include <limits>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
 
 #include "robust/durable_file.hpp"
+#include "robust/line_codec.hpp"
 
 namespace pftk::obs {
 
 namespace {
 
-/// Stable double rendering: round-trip precision, locale-free.
-std::string fmt_double(double v) {
-  std::ostringstream os;
-  os.imbue(std::locale::classic());
-  os << std::setprecision(17) << v;
-  return os.str();
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default: out += c; break;
-    }
-  }
-  return out;
-}
-
-// ---- minimal key-based JSON field extraction -------------------------
-//
-// The reader only ever consumes lines this module wrote, so a targeted
-// scanner is enough: find `"key":` at object level and parse the value
-// after it. Failures throw std::invalid_argument; the lenient line loop
-// converts them into dropped-line accounting.
-
-std::size_t find_key(const std::string& line, const std::string& key,
-                     std::size_t from = 0) {
-  const std::string needle = "\"" + key + "\":";
-  const std::size_t pos = line.find(needle, from);
-  if (pos == std::string::npos) {
-    throw std::invalid_argument("missing field '" + key + "'");
-  }
-  return pos + needle.size();
-}
-
-std::string get_string(const std::string& line, const std::string& key,
-                       std::size_t from = 0) {
-  std::size_t pos = find_key(line, key, from);
-  if (pos >= line.size() || line[pos] != '"') {
-    throw std::invalid_argument("field '" + key + "' is not a string");
-  }
-  std::string out;
-  for (++pos; pos < line.size(); ++pos) {
-    const char c = line[pos];
-    if (c == '\\' && pos + 1 < line.size()) {
-      const char next = line[++pos];
-      out += next == 'n' ? '\n' : next == 't' ? '\t' : next == 'r' ? '\r' : next;
-    } else if (c == '"') {
-      return out;
-    } else {
-      out += c;
-    }
-  }
-  throw std::invalid_argument("unterminated string for '" + key + "'");
-}
-
-double get_number(const std::string& line, const std::string& key,
-                  std::size_t from = 0) {
-  const std::size_t pos = find_key(line, key, from);
-  std::size_t consumed = 0;
-  const double v = std::stod(line.substr(pos), &consumed);
-  if (consumed == 0) {
-    throw std::invalid_argument("field '" + key + "' is not a number");
-  }
-  return v;
-}
-
-std::uint64_t get_u64(const std::string& line, const std::string& key,
-                      std::size_t from = 0) {
-  const double v = get_number(line, key, from);
-  if (!(v >= 0.0)) {
-    throw std::invalid_argument("field '" + key + "' is negative");
-  }
-  return static_cast<std::uint64_t>(v);
-}
-
-/// Parses `"key":[n, n, ...]` of plain numbers.
-template <typename T>
-std::vector<T> get_number_array(const std::string& line, const std::string& key,
-                                std::size_t from = 0) {
-  std::size_t pos = find_key(line, key, from);
-  if (pos >= line.size() || line[pos] != '[') {
-    throw std::invalid_argument("field '" + key + "' is not an array");
-  }
-  std::vector<T> out;
-  ++pos;
-  while (pos < line.size() && line[pos] != ']') {
-    std::size_t consumed = 0;
-    out.push_back(static_cast<T>(std::stod(line.substr(pos), &consumed)));
-    pos += consumed;
-    if (pos < line.size() && line[pos] == ',') {
-      ++pos;
-    }
-  }
-  if (pos >= line.size()) {
-    throw std::invalid_argument("unterminated array for '" + key + "'");
-  }
-  return out;
-}
+using robust::format_double;
+using robust::json_escape;
+using robust::JsonLine;
 
 // ---- record writers --------------------------------------------------
 
@@ -133,99 +29,88 @@ void write_metric_line(std::ostream& os, const MetricValue& mv) {
   if (mv.kind == MetricKind::kHistogram) {
     os << ",\"bounds\":[";
     for (std::size_t i = 0; i < mv.bounds.size(); ++i) {
-      os << (i ? "," : "") << fmt_double(mv.bounds[i]);
+      os << (i ? "," : "") << format_double(mv.bounds[i]);
     }
     os << "],\"buckets\":[";
     for (std::size_t i = 0; i < mv.buckets.size(); ++i) {
       os << (i ? "," : "") << mv.buckets[i];
     }
-    os << "],\"count\":" << mv.count << ",\"sum\":" << fmt_double(mv.sum)
+    os << "],\"count\":" << mv.count << ",\"sum\":" << format_double(mv.sum)
        << ",\"rejected\":" << mv.rejected;
   } else {
-    os << ",\"value\":" << fmt_double(mv.value);
+    os << ",\"value\":" << format_double(mv.value);
   }
   os << "}\n";
 }
 
 void write_event_line(std::ostream& os, const ConnEvent& event) {
-  os << "{\"kind\":\"event\",\"t\":" << fmt_double(event.t) << ",\"event\":\""
-     << conn_event_name(event.kind) << "\",\"value\":" << fmt_double(event.value)
-     << ",\"aux\":" << fmt_double(event.aux) << "}\n";
+  os << "{\"kind\":\"event\",\"t\":" << format_double(event.t) << ",\"event\":\""
+     << conn_event_name(event.kind) << "\",\"value\":" << format_double(event.value)
+     << ",\"aux\":" << format_double(event.aux) << "}\n";
 }
 
 void write_span_line(std::ostream& os, const SpanRecord& span) {
   os << "{\"kind\":\"span\",\"name\":\"" << json_escape(span.name)
      << "\",\"outcome\":\"" << json_escape(span.outcome)
      << "\",\"attempts\":" << span.attempts
-     << ",\"total_s\":" << fmt_double(span.total_seconds)
-     << ",\"backoff_s\":" << fmt_double(span.backoff_seconds)
+     << ",\"total_s\":" << format_double(span.total_seconds)
+     << ",\"backoff_s\":" << format_double(span.backoff_seconds)
      << ",\"journal_writes\":" << span.journal_writes
      << ",\"journal_bytes\":" << span.journal_bytes << ",\"phases\":[";
   for (std::size_t i = 0; i < span.phases.size(); ++i) {
     const SpanPhase& phase = span.phases[i];
     os << (i ? "," : "") << "{\"phase\":\"" << json_escape(phase.name)
-       << "\",\"s\":" << fmt_double(phase.seconds) << ",\"detail\":\""
+       << "\",\"s\":" << format_double(phase.seconds) << ",\"detail\":\""
        << json_escape(phase.detail) << "\"}";
   }
   os << "]}\n";
 }
 
-MetricValue parse_metric_line(const std::string& line) {
+MetricValue parse_metric_line(const JsonLine& json) {
   MetricValue mv;
-  const std::string type = get_string(line, "type");
+  const std::string& type = json.string("type");
   mv.kind = type == "counter"     ? MetricKind::kCounter
             : type == "gauge"     ? MetricKind::kGauge
             : type == "histogram" ? MetricKind::kHistogram
                                   : throw std::invalid_argument(
                                         "unknown metric type '" + type + "'");
-  mv.name = get_string(line, "name");
-  mv.help = get_string(line, "help");
+  mv.name = json.string("name");
+  mv.help = json.string("help");
   if (mv.kind == MetricKind::kHistogram) {
-    mv.bounds = get_number_array<double>(line, "bounds");
-    mv.buckets = get_number_array<std::uint64_t>(line, "buckets");
-    mv.count = get_u64(line, "count");
-    mv.sum = get_number(line, "sum");
-    mv.rejected = get_u64(line, "rejected");
+    mv.bounds = json.numbers("bounds");
+    mv.buckets = json.integers<std::uint64_t>("buckets");
+    mv.count = json.integer<std::uint64_t>("count");
+    mv.sum = json.number("sum");
+    mv.rejected = json.integer<std::uint64_t>("rejected");
     if (mv.buckets.size() != mv.bounds.size() + 1) {
       throw std::invalid_argument("histogram bucket/bound count mismatch");
     }
   } else {
-    mv.value = get_number(line, "value");
+    mv.value = json.number("value");
   }
   return mv;
 }
 
-ConnEvent parse_event_line(const std::string& line) {
+ConnEvent parse_event_line(const JsonLine& json) {
   ConnEvent event;
-  event.t = get_number(line, "t");
-  event.kind = conn_event_from_name(get_string(line, "event"));
-  event.value = get_number(line, "value");
-  event.aux = get_number(line, "aux");
+  event.t = json.number("t");
+  event.kind = conn_event_from_name(json.string("event"));
+  event.value = json.number("value");
+  event.aux = json.number("aux");
   return event;
 }
 
-SpanRecord parse_span_line(const std::string& line) {
+SpanRecord parse_span_line(const JsonLine& json) {
   SpanRecord span;
-  span.name = get_string(line, "name");
-  span.outcome = get_string(line, "outcome");
-  span.attempts = static_cast<int>(get_number(line, "attempts"));
-  span.total_seconds = get_number(line, "total_s");
-  span.backoff_seconds = get_number(line, "backoff_s");
-  span.journal_writes = get_u64(line, "journal_writes");
-  span.journal_bytes = get_u64(line, "journal_bytes");
-  // Phases: scan the objects of the "phases" array in order.
-  std::size_t pos = find_key(line, "phases");
-  while (true) {
-    const std::size_t obj = line.find("{\"phase\":", pos);
-    if (obj == std::string::npos) {
-      break;
-    }
-    SpanPhase phase;
-    phase.name = get_string(line, "phase", obj);
-    phase.seconds = get_number(line, "s", obj);
-    phase.detail = get_string(line, "detail", obj);
-    span.phases.push_back(std::move(phase));
-    pos = obj + 1;
+  span.name = json.string("name");
+  span.outcome = json.string("outcome");
+  span.attempts = json.integer<int>("attempts");
+  span.total_seconds = json.number("total_s");
+  span.backoff_seconds = json.number("backoff_s");
+  span.journal_writes = json.integer<std::uint64_t>("journal_writes");
+  span.journal_bytes = json.integer<std::uint64_t>("journal_bytes");
+  for (const JsonLine& obj : json.objects("phases")) {
+    span.phases.push_back({obj.string("phase"), obj.number("s"), obj.string("detail")});
   }
   return span;
 }
@@ -244,18 +129,18 @@ void write_prometheus(std::ostream& os, const MetricsSnapshot& snapshot) {
       std::uint64_t cumulative = 0;
       for (std::size_t i = 0; i < mv.bounds.size(); ++i) {
         cumulative += mv.buckets[i];
-        os << mv.name << "_bucket{le=\"" << fmt_double(mv.bounds[i]) << "\"} "
+        os << mv.name << "_bucket{le=\"" << format_double(mv.bounds[i]) << "\"} "
            << cumulative << "\n";
       }
       cumulative += mv.buckets.back();
       os << mv.name << "_bucket{le=\"+Inf\"} " << cumulative << "\n"
-         << mv.name << "_sum " << fmt_double(mv.sum) << "\n"
+         << mv.name << "_sum " << format_double(mv.sum) << "\n"
          << mv.name << "_count " << mv.count << "\n";
       if (mv.rejected > 0) {
         os << mv.name << "_rejected " << mv.rejected << "\n";
       }
     } else {
-      os << mv.name << " " << fmt_double(mv.value) << "\n";
+      os << mv.name << " " << format_double(mv.value) << "\n";
     }
   }
 }
@@ -289,26 +174,27 @@ ObsBundle read_obs_jsonl(std::istream& is, ObsReadReport* report) {
       continue;
     }
     try {
+      const JsonLine json(line);
       if (!have_header) {
         // The first non-empty line must be the header; anything else
         // means this is not an obs file at all.
-        const std::string schema = get_string(line, "schema");
+        const std::string& schema = json.string("schema");
         if (schema != kObsSchema) {
           throw std::invalid_argument("unsupported obs schema '" + schema + "'");
         }
-        bundle.source = get_string(line, "source");
-        bundle.events_dropped = get_u64(line, "events_dropped");
+        bundle.source = json.string("source");
+        bundle.events_dropped = json.integer<std::uint64_t>("events_dropped");
         have_header = true;
         ++rr.records_parsed;
         continue;
       }
-      const std::string kind = get_string(line, "kind");
+      const std::string& kind = json.string("kind");
       if (kind == "metric") {
-        bundle.metrics.metrics.push_back(parse_metric_line(line));
+        bundle.metrics.metrics.push_back(parse_metric_line(json));
       } else if (kind == "event") {
-        bundle.events.push_back(parse_event_line(line));
+        bundle.events.push_back(parse_event_line(json));
       } else if (kind == "span") {
-        bundle.spans.push_back(parse_span_line(line));
+        bundle.spans.push_back(parse_span_line(json));
       } else {
         throw std::invalid_argument("unknown record kind '" + kind + "'");
       }

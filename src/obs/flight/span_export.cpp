@@ -6,37 +6,11 @@
 
 #include "robust/durable_file.hpp"
 #include "robust/failpoint.hpp"
+#include "robust/line_codec.hpp"
 
 namespace pftk::obs::flight {
 
 namespace {
-
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        out += c;
-    }
-  }
-  return out;
-}
 
 /// Microseconds with ns resolution kept as a fraction — Chrome's `ts`
 /// is conventionally µs, and three decimals preserve the full clock.
@@ -48,49 +22,6 @@ std::string us_from_ns(std::uint64_t ns) {
   os << static_cast<char>('0' + frac / 100) << static_cast<char>('0' + frac / 10 % 10)
      << static_cast<char>('0' + frac % 10);
   return os.str();
-}
-
-// ---- targeted field scanner (mirrors obs/export.cpp's reader) --------
-
-std::size_t find_key(const std::string& line, const std::string& key) {
-  const std::string needle = "\"" + key + "\":";
-  const std::size_t pos = line.find(needle);
-  if (pos == std::string::npos) {
-    throw std::invalid_argument("missing field '" + key + "'");
-  }
-  return pos + needle.size();
-}
-
-std::string get_string(const std::string& line, const std::string& key) {
-  std::size_t pos = find_key(line, key);
-  if (pos >= line.size() || line[pos] != '"') {
-    throw std::invalid_argument("field '" + key + "' is not a string");
-  }
-  std::string out;
-  for (++pos; pos < line.size(); ++pos) {
-    const char c = line[pos];
-    if (c == '\\' && pos + 1 < line.size()) {
-      const char next = line[++pos];
-      out += next == 'n' ? '\n' : next == 't' ? '\t' : next == 'r' ? '\r' : next;
-    } else if (c == '"') {
-      return out;
-    } else {
-      out += c;
-    }
-  }
-  throw std::invalid_argument("unterminated string for '" + key + "'");
-}
-
-std::uint64_t get_u64(const std::string& line, const std::string& key) {
-  std::size_t pos = find_key(line, key);
-  if (pos >= line.size() || line[pos] < '0' || line[pos] > '9') {
-    throw std::invalid_argument("field '" + key + "' is not an unsigned integer");
-  }
-  std::uint64_t v = 0;
-  for (; pos < line.size() && line[pos] >= '0' && line[pos] <= '9'; ++pos) {
-    v = v * 10 + static_cast<std::uint64_t>(line[pos] - '0');
-  }
-  return v;
 }
 
 }  // namespace
@@ -106,14 +37,14 @@ std::string render_chrome_json(const DrainedSpans& drained,
       os << ",";
     }
     first = false;
-    os << "\n{\"name\":\"" << json_escape(span.name)
+    os << "\n{\"name\":\"" << robust::json_escape(span.name)
        << "\",\"cat\":\"pftk\",\"ph\":\"X\",\"ts\":" << us_from_ns(span.begin_ns)
        << ",\"dur\":" << us_from_ns(span.end_ns - span.begin_ns)
        << ",\"pid\":1,\"tid\":" << span.tid << ",\"args\":{\"arg\":" << span.arg
        << "}}";
   }
   os << "\n],\"displayTimeUnit\":\"ms\",\"otherData\":{\"schema\":\""
-     << kSpansSchema << "\",\"source\":\"" << json_escape(source)
+     << kSpansSchema << "\",\"source\":\"" << robust::json_escape(source)
      << "\",\"spans\":" << drained.spans.size()
      << ",\"dropped\":" << drained.dropped << ",\"threads\":" << drained.threads
      << "}}\n";
@@ -125,11 +56,11 @@ std::string render_spans_jsonl(const DrainedSpans& drained,
   std::ostringstream os;
   os.imbue(std::locale::classic());
   os << "{\"schema\":\"" << kSpansSchema << "\",\"kind\":\"header\",\"source\":\""
-     << json_escape(source) << "\",\"spans\":" << drained.spans.size()
+     << robust::json_escape(source) << "\",\"spans\":" << drained.spans.size()
      << ",\"dropped\":" << drained.dropped << ",\"threads\":" << drained.threads
      << "}\n";
   for (const DrainedSpan& span : drained.spans) {
-    os << "{\"kind\":\"span\",\"name\":\"" << json_escape(span.name)
+    os << "{\"kind\":\"span\",\"name\":\"" << robust::json_escape(span.name)
        << "\",\"tid\":" << span.tid << ",\"begin_ns\":" << span.begin_ns
        << ",\"end_ns\":" << span.end_ns << ",\"arg\":" << span.arg << "}\n";
   }
@@ -166,24 +97,25 @@ DrainedSpans load_spans_file(const std::string& path) {
       continue;
     }
     try {
+      const robust::JsonLine json(line);
       if (!saw_header) {
-        if (get_string(line, "schema") != kSpansSchema) {
+        if (json.string("schema") != kSpansSchema) {
           throw std::invalid_argument("unsupported schema");
         }
-        out.dropped = get_u64(line, "dropped");
-        out.threads = static_cast<std::uint32_t>(get_u64(line, "threads"));
+        out.dropped = json.integer<std::uint64_t>("dropped");
+        out.threads = json.integer<std::uint32_t>("threads");
         saw_header = true;
         continue;
       }
-      if (get_string(line, "kind") != "span") {
+      if (json.string("kind") != "span") {
         throw std::invalid_argument("unexpected record kind");
       }
       DrainedSpan span;
-      span.name = get_string(line, "name");
-      span.tid = static_cast<std::uint32_t>(get_u64(line, "tid"));
-      span.begin_ns = get_u64(line, "begin_ns");
-      span.end_ns = get_u64(line, "end_ns");
-      span.arg = get_u64(line, "arg");
+      span.name = json.string("name");
+      span.tid = json.integer<std::uint32_t>("tid");
+      span.begin_ns = json.integer<std::uint64_t>("begin_ns");
+      span.end_ns = json.integer<std::uint64_t>("end_ns");
+      span.arg = json.integer<std::uint64_t>("arg");
       if (span.end_ns < span.begin_ns) {
         throw std::invalid_argument("span ends before it begins");
       }

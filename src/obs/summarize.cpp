@@ -5,6 +5,8 @@
 #include <ostream>
 #include <sstream>
 
+#include "robust/line_codec.hpp"
+
 namespace pftk::obs {
 
 double LossBreakdown::td_fraction() const noexcept {
@@ -116,7 +118,8 @@ void write_breakdown_json(std::ostream& os, const LossBreakdown& bd,
   frac << std::fixed << std::setprecision(6) << "\"td_fraction\":" << bd.td_fraction()
        << ",\"to_fraction\":" << bd.to_fraction()
        << ",\"duration_s\":" << bd.duration;
-  os << "{\"schema\":\"pftk-obs/1\",\"kind\":\"summary\",\"source\":\"" << source
+  os << "{\"schema\":\"pftk-obs/1\",\"kind\":\"summary\",\"source\":\""
+     << robust::json_escape(source)
      << "\",\"loss_indications\":" << bd.loss_indications() << ",\"td\":" << bd.td
      << ",\"to_sequences\":" << bd.to_sequences
      << ",\"timeout_events\":" << bd.timeout_events

@@ -4,7 +4,8 @@
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
-#include <sstream>
+
+#include "robust/line_codec.hpp"
 
 namespace pftk::serve {
 
@@ -238,12 +239,7 @@ Request parse_request(std::string_view line) {
   return req;
 }
 
-std::string format_number(double v) {
-  std::ostringstream os;
-  os.precision(17);
-  os << v;
-  return os.str();
-}
+std::string format_number(double v) { return robust::format_double(v); }
 
 std::string format_ok(
     std::string_view id,

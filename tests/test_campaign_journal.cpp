@@ -2,7 +2,9 @@
 // ordered valid prefix of a torn (killed mid-append) file.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
+#include <limits>
 #include <sstream>
 
 #include "exp/campaign/campaign_journal.hpp"
@@ -66,6 +68,19 @@ TEST(CampaignJournal, FailedEntryRoundTripsWithEscapes) {
   EXPECT_EQ(parsed.failure_class, FailureClass::kTransient);
   EXPECT_EQ(parsed.failure_kind, FailureKind::kWatchdogStall);
   EXPECT_EQ(parsed.error, entry.error);
+  EXPECT_EQ(parsed.to_json(), entry.to_json());
+}
+
+TEST(CampaignJournal, NonFiniteMetricsRoundTrip) {
+  // The writer renders inf and nan; a reader that refused them would
+  // take the line for a torn tail and resume would re-run every later
+  // item.
+  JournalEntry entry = ok_entry(2);
+  entry.metrics.send_rate = std::numeric_limits<double>::infinity();
+  entry.metrics.predicted = std::numeric_limits<double>::quiet_NaN();
+  const JournalEntry parsed = JournalEntry::from_json(entry.to_json());
+  EXPECT_EQ(parsed.metrics.send_rate, entry.metrics.send_rate);
+  EXPECT_TRUE(std::isnan(parsed.metrics.predicted));
   EXPECT_EQ(parsed.to_json(), entry.to_json());
 }
 

@@ -270,6 +270,49 @@ TEST(CampaignRunner, InvalidProfileIsPermanentEndToEnd) {
   EXPECT_EQ(result.report.succeeded, 1u);
   ASSERT_EQ(result.report.failures.size(), 1u);
   EXPECT_EQ(result.report.failures[0].label, "bad->host/s7/clean/full");
+  EXPECT_NE(result.report.failures[0].error.find("advertised_window"), std::string::npos)
+      << result.report.failures[0].error;
+}
+
+TEST(CampaignRunner, RealWatchdogTripIsARecordedTransientFailure) {
+  // Through the real executor: a blackout that outlives the run stalls
+  // the sender, the watchdog turns the endless backoff into a failure,
+  // and every attempt of the item is spent on it.
+  CampaignSpec spec;
+  spec.duration = 300.0;
+  spec.profiles = {quick_profile("a", "b")};
+  spec.seeds = {11};
+  spec.scenarios = {{"dark", sim::FaultSchedule::parse("blackout@5+600"), {}}};
+  spec.watchdog.stall_rtos = 1.0;
+  spec.retry.max_attempts = 2;
+  spec.retry.backoff_base = std::chrono::milliseconds{0};
+  const CampaignResult result = CampaignRunner(spec, {}).run();
+  ASSERT_EQ(result.items.size(), 1u);
+  EXPECT_EQ(result.items[0].status, ItemStatus::kFailedTransient);
+  EXPECT_EQ(result.items[0].failure_kind, FailureKind::kWatchdogStall);
+  EXPECT_EQ(result.items[0].attempts, 2);
+  EXPECT_NE(result.items[0].error.find("no cumulative-ACK progress"), std::string::npos)
+      << result.items[0].error;
+}
+
+TEST(CampaignRunner, FaultStatsAggregateOverSuccessfulItems) {
+  // Every item's connection runs the scenario's schedule; the report
+  // sums the fault stats of the items that succeeded.
+  CampaignSpec spec;
+  spec.duration = 30.0;
+  spec.profiles = {quick_profile("a", "b")};
+  spec.seeds = {1, 2};
+  spec.scenarios = {{"lossy", sim::FaultSchedule::parse("loss@0+30:0.2"), {}}};
+  const CampaignResult result = CampaignRunner(spec, {}).run();
+  ASSERT_EQ(result.items.size(), 2u);
+  ASSERT_TRUE(result.all_ok());
+  sim::FaultStats sum;
+  for (const CampaignItemResult& item : result.items) {
+    EXPECT_GT(item.metrics.forward_faults.dropped_loss, 0u) << item.item.key();
+    sum += item.metrics.forward_faults;
+  }
+  EXPECT_EQ(result.report.forward_faults.offered, sum.offered);
+  EXPECT_EQ(result.report.forward_faults.dropped_loss, sum.dropped_loss);
 }
 
 TEST(CampaignRunner, ResultsKeepSpecOrderUnderConcurrency) {

@@ -225,6 +225,18 @@ TEST_F(FlightRecorderTest, LoadRejectsMissingHeaderAndBadSpans) {
   }
   EXPECT_THROW(flight::load_spans_file(backwards), std::invalid_argument);
   std::remove(backwards.c_str());
+
+  // 21 digits overflow a u64 timestamp: refused, never wrapped.
+  const std::string overflow = (fs::temp_directory_path() / "pftk_overflow.jsonl").string();
+  {
+    std::ofstream out(overflow);
+    out << "{\"schema\":\"pftk-spans/1\",\"kind\":\"header\",\"source\":\"t\","
+           "\"spans\":1,\"dropped\":0,\"threads\":1}\n"
+        << "{\"kind\":\"span\",\"name\":\"x\",\"tid\":1,\"begin_ns\":0,"
+           "\"end_ns\":100000000000000000000,\"arg\":0}\n";
+  }
+  EXPECT_THROW(flight::load_spans_file(overflow), std::invalid_argument);
+  std::remove(overflow.c_str());
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 // line by line — but refuses files that are not obs files at all.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -173,6 +175,56 @@ TEST(ObsExport, UnknownRecordKindsAreSkippedNotFatal) {
   EXPECT_EQ(report.lines_dropped, 1u);
   ASSERT_EQ(back.events.size(), 1u);
   EXPECT_EQ(back.events[0].kind, ConnEventKind::kRtoFire);
+}
+
+TEST(ObsExport, SixtyFourBitCountsRoundTripExactly) {
+  // ConcurrentHistogram saturates at UINT64_MAX, and the supervisor's
+  // fleet merge reads worker snapshots back through this reader: counts
+  // must not pass through a double (2^53 + 1 is the first it loses).
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  constexpr std::uint64_t kPast53 = (std::uint64_t{1} << 53) + 1;
+  MetricValue mv;
+  mv.name = "pftk_saturated";
+  mv.help = "bucket at the ceiling";
+  mv.kind = MetricKind::kHistogram;
+  mv.bounds = {1.0};
+  mv.buckets = {kMax, kPast53};
+  mv.count = kMax;
+  mv.rejected = kPast53;
+  ObsBundle bundle;
+  bundle.source = "test";
+  bundle.events_dropped = kMax;
+  bundle.metrics.metrics.push_back(mv);
+  std::stringstream stream;
+  write_obs_jsonl(stream, bundle);
+
+  ObsReadReport report;
+  const ObsBundle back = read_obs_jsonl(stream, &report);
+  EXPECT_TRUE(report.clean()) << report.first_error;
+  ASSERT_EQ(back.metrics.metrics.size(), 1u);
+  EXPECT_EQ(back.metrics.metrics[0].buckets, (std::vector<std::uint64_t>{kMax, kPast53}));
+  EXPECT_EQ(back.metrics.metrics[0].count, kMax);
+  EXPECT_EQ(back.metrics.metrics[0].rejected, kPast53);
+  EXPECT_EQ(back.events_dropped, kMax);
+}
+
+TEST(ObsExport, OverflowingIntegerIsADroppedLine) {
+  // One past UINT64_MAX cannot be stored; the line is damage, not a
+  // silently wrapped or rounded count.
+  std::istringstream is(
+      "{\"schema\":\"pftk-obs/1\",\"kind\":\"header\",\"source\":\"x\","
+      "\"events_dropped\":0}\n"
+      "{\"kind\":\"span\",\"name\":\"s\",\"outcome\":\"ok\",\"attempts\":1,"
+      "\"total_s\":0.5,\"backoff_s\":0,\"journal_writes\":1,"
+      "\"journal_bytes\":18446744073709551616,\"phases\":[]}\n"
+      "{\"kind\":\"event\",\"t\":1,\"event\":\"rto_fire\",\"value\":1,\"aux\":0}\n");
+  ObsReadReport report;
+  const ObsBundle back = read_obs_jsonl(is, &report);
+  EXPECT_EQ(report.lines_dropped, 1u);
+  EXPECT_NE(report.first_error.find("journal_bytes"), std::string::npos)
+      << report.first_error;
+  EXPECT_TRUE(back.spans.empty());
+  EXPECT_EQ(back.events.size(), 1u);
 }
 
 TEST(ObsExport, FileWrappersPickFormatBySuffix) {

@@ -1,6 +1,7 @@
 // Round-trip and validation tests for the trace file format.
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <sstream>
 
 #include "sim/connection.hpp"
@@ -156,6 +157,32 @@ TEST(TraceIo, LenientRecoversTheValidPrefixExactly) {
   EXPECT_EQ(report.bytes_dropped, std::string("%%% corrupted tail %%%\n").size() +
                                       std::string("S\t99.0\t12").size());
   EXPECT_TRUE(report.truncated);
+}
+
+TEST(TraceIo, LenientFileLoadKeepsTheValidPrefixOfACorruptCapture) {
+  // A capture file with a disk-full signature: garbage lines, then a
+  // final record cut mid-field with no trailing newline.
+  const std::vector<TraceEvent> original = simulated_trace();
+  const std::string path = ::testing::TempDir() + "pftk_trace_io_corrupt.tsv";
+  save_trace_file(path, original);
+  const std::string tail = "garbage line\nX\t1\t2\t3\nS\t99.0\t12";
+  std::ofstream(path, std::ios::app) << tail;
+
+  TraceReadReport report;
+  const auto events = load_trace_file_lenient(path, &report);
+  EXPECT_EQ(events.size(), original.size());
+  EXPECT_EQ(report.events_parsed, original.size());
+  EXPECT_EQ(report.lines_dropped, 3u);
+  EXPECT_EQ(report.bytes_dropped, tail.size());
+  EXPECT_TRUE(report.truncated);
+
+  // A file with nothing salvageable reads as zero events, every line
+  // charged.
+  const std::string junk = ::testing::TempDir() + "pftk_trace_io_junk.tsv";
+  std::ofstream(junk) << "not a trace at all\n<<<binary-ish>>>\n";
+  TraceReadReport junk_report;
+  EXPECT_TRUE(load_trace_file_lenient(junk, &junk_report).empty());
+  EXPECT_EQ(junk_report.lines_dropped, 2u);
 }
 
 TEST(TraceIo, TruncationRequiresAnUnterminatedBadFinalLine) {
