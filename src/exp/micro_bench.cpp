@@ -236,7 +236,7 @@ ModelBenchOutcome bench_model(const MicroBenchConfig& config, model::ModelKind k
 /// A synthetic but format-complete trace: send/ACK pairs with periodic
 /// retransmissions, timeouts and RTT samples, so the parser sees every
 /// record type at realistic field widths.
-std::string make_trace_text(std::size_t events) {
+std::vector<trace::TraceEvent> make_trace_events(std::size_t events) {
   std::vector<trace::TraceEvent> trace;
   trace.reserve(events);
   sim::SeqNo seq = 0;
@@ -276,8 +276,12 @@ std::string make_trace_text(std::size_t events) {
     }
     trace.push_back(e);
   }
+  return trace;
+}
+
+std::string make_trace_text(std::size_t events) {
   std::ostringstream os;
-  trace::write_trace(os, trace);
+  trace::write_trace(os, make_trace_events(events));
   return os.str();
 }
 
@@ -491,6 +495,25 @@ MicroBenchResult bench_serve_request_path_supervised(
   return r;
 }
 
+/// The write direction of the trace layer: write_trace into memory, so
+/// the number is formatting alone, without the durable file write.
+MicroBenchResult bench_trace_format(const MicroBenchConfig& config) {
+  const std::vector<trace::TraceEvent> events = make_trace_events(config.trace_events);
+  std::streamoff bytes = 0;
+  const double secs = best_seconds(config.repeats, [&] {
+    std::ostringstream os;
+    trace::write_trace(os, events);
+    bytes = os.tellp();
+  });
+  MicroBenchResult r;
+  r.name = "trace.format";
+  r.unit = "MB/s";
+  r.items = events.size();
+  r.per_second = static_cast<double>(bytes) / secs;
+  r.value = r.per_second / (1024.0 * 1024.0);
+  return r;
+}
+
 MicroBenchResult bench_trace_parse(const MicroBenchConfig& config) {
   const std::string text = make_trace_text(config.trace_events);
   std::size_t parsed = 0;
@@ -695,13 +718,13 @@ MicroBenchReport run_micro_bench(const MicroBenchConfig& config) {
     }
   }
 
+  report.results.push_back(bench_trace_format(config));
   report.results.push_back(bench_trace_parse(config));
+  const double strict_per_second = report.results.back().per_second;
   const TraceMmapOutcome mmap_outcome = bench_trace_parse_mmap(config);
   report.results.push_back(mmap_outcome.result);
   report.trace_parity_ok = mmap_outcome.parity_ok;
-  report.trace_mmap_speedup =
-      mmap_outcome.result.per_second /
-      report.results[report.results.size() - 2].per_second;
+  report.trace_mmap_speedup = mmap_outcome.result.per_second / strict_per_second;
 
   report.results.push_back(bench_serve_parse(config));
   report.results.push_back(bench_serve_request_path(config));

@@ -7,7 +7,8 @@
 //     hot-path cost is a measured ratio, not a promise;
 //   * model evaluation, scalar entry points vs. the PreparedModel
 //     batched fast path, in ns per evaluation over a 10k-point p grid;
-//   * trace parsing, in MB/s — the istream reference reader
+//   * trace formatting (trace.format, write_trace into memory) and
+//     trace parsing, in MB/s — the istream reference reader
 //     (trace.parse_strict) and the mmap + chunk-parallel fast path
 //     (trace.parse_mmap, timed through load_trace_file_lenient on a
 //     real temp file), with a bit-exact events-and-report parity

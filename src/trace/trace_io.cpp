@@ -1,12 +1,14 @@
 #include "trace/trace_io.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <fstream>
-#include <iomanip>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 #include "obs/flight/flight_recorder.hpp"
 #include "robust/durable_file.hpp"
@@ -164,6 +166,91 @@ std::vector<TraceEvent> read_trace_impl(std::istream& is, ReadMode mode,
   return out;
 }
 
+/// Renders one record per line into a stack buffer with std::to_chars
+/// and appends it to the capture text. Doubles take chars_format::fixed
+/// at precision 9, which is specified to give the bytes of "%.9f" — the
+/// same bytes an ostream prints under std::fixed/setprecision(9).
+class TraceFormatter {
+ public:
+  explicit TraceFormatter(std::size_t events) {
+    out_.reserve(kHeader.size() + events * kTypicalLineBytes);
+    out_ += kHeader;
+  }
+
+  void add(const TraceEvent& e) {
+    p_ = line_;
+    switch (e.type) {
+      case TraceEventType::kSegmentSent:
+        put('S', e.t, e.seq, e.retransmission, e.in_flight, e.cwnd);
+        break;
+      case TraceEventType::kAckReceived:
+        put('A', e.t, e.seq, e.duplicate);
+        break;
+      case TraceEventType::kTimeout:
+        put('T', e.t, e.seq, e.consecutive, e.value);
+        break;
+      case TraceEventType::kFastRetransmit:
+        put('F', e.t, e.seq);
+        break;
+      case TraceEventType::kRttSample:
+        put('R', e.t, e.value, e.in_flight);
+        break;
+    }
+    *p_++ = '\n';
+    out_.append(line_, static_cast<std::size_t>(p_ - line_));
+  }
+
+  [[nodiscard]] std::string take() { return std::move(out_); }
+
+ private:
+  static constexpr std::string_view kHeader =
+      "# pftk trace v1: S/A/T/F/R events, tab-separated, times in seconds\n";
+  /// Lines of an hour-long capture average about 33 bytes (S records
+  /// about 37). Pages the text never reaches stay untouched, so rounding
+  /// up costs address space, not resident memory.
+  static constexpr std::size_t kTypicalLineBytes = 48;
+  /// Sign, every integer digit of DBL_MAX, point and 9 decimals: 320.
+  static constexpr std::size_t kMaxDoubleChars =
+      1 + (std::numeric_limits<double>::max_exponent10 + 1) + 1 + 9;
+  static constexpr std::size_t kMaxIntChars = 20;  // UINT64_MAX; INT_MIN is 11
+  /// Longest record, S: tag, five tabs, two doubles, two integers, a
+  /// flag and the newline — 688 bytes.
+  static constexpr std::size_t kMaxLineChars =
+      1 + 5 + 2 * kMaxDoubleChars + 2 * kMaxIntChars + 1 + 1;
+
+  /// Numbers may not take the last byte, which the next tab or the
+  /// newline needs: a buffer short by even one byte fails to_chars on
+  /// the longest line, and that garbles the output instead of writing
+  /// past the array.
+  [[nodiscard]] char* limit() { return line_ + sizeof(line_) - 1; }
+  void field(double v) {
+    p_ = std::to_chars(p_, limit(), v, std::chars_format::fixed, 9).ptr;
+  }
+  template <typename Int>
+  void field(Int v) {
+    p_ = std::to_chars(p_, limit(), v).ptr;
+  }
+  void field(bool flag) { *p_++ = flag ? '1' : '0'; }
+
+  template <typename... Fields>
+  void put(char tag, const Fields&... fields) {
+    *p_++ = tag;
+    ((*p_++ = '\t', field(fields)), ...);
+  }
+
+  std::string out_;
+  char line_[kMaxLineChars];
+  char* p_ = line_;
+};
+
+std::string format_trace(std::span<const TraceEvent> events) {
+  TraceFormatter formatter(events.size());
+  for (const TraceEvent& e : events) {
+    formatter.add(e);
+  }
+  return formatter.take();
+}
+
 }  // namespace
 
 std::string TraceReadReport::describe() const {
@@ -186,29 +273,8 @@ std::string TraceReadReport::describe() const {
 }
 
 void write_trace(std::ostream& os, std::span<const TraceEvent> events) {
-  os << "# pftk trace v1: S/A/T/F/R events, tab-separated, times in seconds\n";
-  os << std::fixed << std::setprecision(9);
-  for (const TraceEvent& e : events) {
-    switch (e.type) {
-      case TraceEventType::kSegmentSent:
-        os << "S\t" << e.t << '\t' << e.seq << '\t' << (e.retransmission ? 1 : 0) << '\t'
-           << e.in_flight << '\t' << e.cwnd << '\n';
-        break;
-      case TraceEventType::kAckReceived:
-        os << "A\t" << e.t << '\t' << e.seq << '\t' << (e.duplicate ? 1 : 0) << '\n';
-        break;
-      case TraceEventType::kTimeout:
-        os << "T\t" << e.t << '\t' << e.seq << '\t' << e.consecutive << '\t' << e.value
-           << '\n';
-        break;
-      case TraceEventType::kFastRetransmit:
-        os << "F\t" << e.t << '\t' << e.seq << '\n';
-        break;
-      case TraceEventType::kRttSample:
-        os << "R\t" << e.t << '\t' << e.value << '\t' << e.in_flight << '\n';
-        break;
-    }
-  }
+  const std::string text = format_trace(events);
+  os.write(text.data(), static_cast<std::streamsize>(text.size()));
 }
 
 std::vector<TraceEvent> read_trace(std::istream& is) {
@@ -224,9 +290,7 @@ void save_trace_file(const std::string& path, std::span<const TraceEvent> events
   // fsync + atomic rename): a crash mid-save never corrupts an existing
   // trace, and write/close failures throw robust::IoError instead of
   // silently reporting success from an unflushed stream buffer.
-  std::ostringstream os;
-  write_trace(os, events);
-  robust::atomic_write_file(path, os.str(), "trace.write");
+  robust::atomic_write_file(path, format_trace(events), "trace.write");
 }
 
 std::vector<TraceEvent> load_trace_file(const std::string& path) {

@@ -12,8 +12,10 @@
 //   T <t> <seq> <consecutive> <rto>                  timeout (ground truth)
 //   F <t> <seq>                                      fast rtx (ground truth)
 //   R <t> <sample> <in_flight>                       rtt sample (ground truth)
-// Lines starting with '#' are comments. Times are seconds with fixed
-// 9-digit precision, so a round trip is loss-free for simulation scales.
+// Lines starting with '#' are comments. Every double (times, cwnd, rto,
+// sample) is written with fixed 9-digit precision, byte for byte what
+// printf "%.9f" prints, so a round trip is loss-free for simulation
+// scales; integers are plain decimal and flags are 0/1.
 //
 // Real capture files get truncated, hit disk-full mid-line, and pick up
 // garbage; an hour of capture must not be voided by one bad line. The
@@ -70,7 +72,8 @@ struct TraceReadReport {
   [[nodiscard]] std::string describe() const;
 };
 
-/// Writes the trace, one event per line, preceded by a '#' header.
+/// Writes the trace, one event per line, preceded by a '#' header, with
+/// one stream write of the formatted text.
 /// @throws std::ios_base::failure on stream errors.
 void write_trace(std::ostream& os, std::span<const TraceEvent> events);
 

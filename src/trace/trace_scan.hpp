@@ -4,12 +4,11 @@
 // the next '\n'?" (hot: once per record, plus once per chunk boundary)
 // and "split this mapping into line-aligned chunks" (once per file).
 // find_newline is a wide memchr: it compares 8 input bytes per step with
-// the classic SWAR zero-in-word trick, and 32 bytes per step with AVX2
-// when the build enables it (-mavx2 / -march=native); the scalar head
-// and tail keep it exact at any alignment and length. It lives in the
-// header so the per-record call in the chunk parser inlines — taking it
-// out of line costs ~10% of ingest throughput. A unit test cross-checks
-// it byte-for-byte against std::memchr.
+// the classic SWAR zero-in-word trick; the scalar tail keeps it exact at
+// any alignment and length. It lives in the header so the per-record
+// call in the chunk parser inlines — taking it out of line costs ~10% of
+// ingest throughput. A unit test cross-checks it byte-for-byte against
+// std::memchr.
 #pragma once
 
 #include <bit>
@@ -19,10 +18,6 @@
 #include <string_view>
 #include <utility>
 #include <vector>
-
-#if defined(__AVX2__)
-#include <immintrin.h>
-#endif
 
 namespace pftk::trace {
 
@@ -48,21 +43,6 @@ constexpr std::uint64_t zero_byte_mask(std::uint64_t word) noexcept {
   if (p >= end) {
     return std::string_view::npos;
   }
-
-#if defined(__AVX2__)
-  // 32 bytes per step; unaligned loads are fine on every AVX2 part.
-  const __m256i needle = _mm256_set1_epi8('\n');
-  while (p + 32 <= end) {
-    const __m256i block =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
-    const int mask = _mm256_movemask_epi8(_mm256_cmpeq_epi8(block, needle));
-    if (mask != 0) {
-      return static_cast<std::size_t>(p - base) +
-             static_cast<std::size_t>(std::countr_zero(static_cast<unsigned>(mask)));
-    }
-    p += 32;
-  }
-#endif
 
   // SWAR: 8 bytes per step. XOR maps '\n' bytes to zero; the zero-byte
   // mask's lowest set bit then indexes the first match (little-endian:

@@ -36,6 +36,9 @@ int wait_status_for(int code, int sig = 0) {
   const pid_t pid = ::fork();
   if (pid == 0) {
     if (sig != 0) {
+      // Restore the default action first: a sanitizer's SEGV handler
+      // would otherwise catch the signal and exit with a plain code.
+      ::signal(sig, SIG_DFL);
       ::raise(sig);
     }
     ::_exit(code);
@@ -139,6 +142,7 @@ TEST(Supervisor, SegfaultingWorkerIsARestartableCrash) {
   Supervisor sup(std::move(config));
   const SupervisorResult result = sup.run([](const WorkerContext& ctx) {
     if (ctx.generation == 0) {
+      ::signal(SIGSEGV, SIG_DFL);
       ::raise(SIGSEGV);
     }
     return 0;

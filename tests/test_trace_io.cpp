@@ -1,7 +1,16 @@
 // Round-trip and validation tests for the trace file format.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cfloat>
+#include <climits>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <fstream>
+#include <iomanip>
+#include <iterator>
+#include <limits>
 #include <sstream>
 
 #include "sim/connection.hpp"
@@ -27,6 +36,109 @@ std::vector<TraceEvent> simulated_trace() {
   conn.set_observer(&rec);
   conn.run_for(120.0);
   return rec.events();
+}
+
+/// The ostream writer the to_chars formatter replaced, kept verbatim as
+/// the byte oracle: std::fixed/setprecision(9) prints "%.9f".
+std::string oracle_trace_text(std::span<const TraceEvent> events) {
+  std::ostringstream os;
+  os << "# pftk trace v1: S/A/T/F/R events, tab-separated, times in seconds\n";
+  os << std::fixed << std::setprecision(9);
+  for (const TraceEvent& e : events) {
+    switch (e.type) {
+      case TraceEventType::kSegmentSent:
+        os << "S\t" << e.t << '\t' << e.seq << '\t' << (e.retransmission ? 1 : 0) << '\t'
+           << e.in_flight << '\t' << e.cwnd << '\n';
+        break;
+      case TraceEventType::kAckReceived:
+        os << "A\t" << e.t << '\t' << e.seq << '\t' << (e.duplicate ? 1 : 0) << '\n';
+        break;
+      case TraceEventType::kTimeout:
+        os << "T\t" << e.t << '\t' << e.seq << '\t' << e.consecutive << '\t' << e.value
+           << '\n';
+        break;
+      case TraceEventType::kFastRetransmit:
+        os << "F\t" << e.t << '\t' << e.seq << '\n';
+        break;
+      case TraceEventType::kRttSample:
+        os << "R\t" << e.t << '\t' << e.value << '\t' << e.in_flight << '\n';
+        break;
+    }
+  }
+  return os.str();
+}
+
+/// Records at every formatting extreme: signed zeros, 9th-decimal
+/// rounding ties, the smallest subnormal, +-DBL_MAX (the longest line
+/// the format has), +-inf, +-nan, integer limits, and both flags set on
+/// records that print only one of them.
+std::vector<TraceEvent> edge_trace() {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  const auto make = [](TraceEventType type, double t, double value, double cwnd) {
+    TraceEvent e;
+    e.type = type;
+    e.t = t;
+    e.value = value;
+    e.cwnd = cwnd;
+    return e;
+  };
+  std::vector<TraceEvent> events;
+  const double ties[] = {0.0, -0.0, 0.0000000005, 1.0000000005, 3599.9999999995, 5e-324};
+  for (const double v : ties) {
+    for (const TraceEventType type :
+         {TraceEventType::kSegmentSent, TraceEventType::kAckReceived, TraceEventType::kTimeout,
+          TraceEventType::kFastRetransmit, TraceEventType::kRttSample}) {
+      events.push_back(make(type, v, -v, v));
+    }
+  }
+  for (const double v : {DBL_MAX, -DBL_MAX, kInf, -kInf, kNan, -kNan}) {
+    for (const TraceEventType type :
+         {TraceEventType::kSegmentSent, TraceEventType::kTimeout, TraceEventType::kRttSample}) {
+      TraceEvent e = make(type, v, v, v);
+      e.seq = std::numeric_limits<std::uint64_t>::max();
+      e.in_flight = std::numeric_limits<std::size_t>::max();
+      e.consecutive = std::signbit(v) ? INT_MIN : INT_MAX;
+      e.retransmission = true;
+      e.duplicate = true;
+      events.push_back(e);
+    }
+  }
+  TraceEvent ack = make(TraceEventType::kAckReceived, 1.5, 0.0, 0.0);
+  ack.seq = std::numeric_limits<std::uint64_t>::max();
+  ack.retransmission = true;
+  ack.duplicate = true;
+  events.push_back(ack);
+  return events;
+}
+
+std::string read_bytes(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(is), std::istreambuf_iterator<char>()};
+}
+
+TEST(TraceIo, WriterBytesEqualTheOstreamOracle) {
+  const std::vector<TraceEvent> edges = edge_trace();
+  // The table must reach the longest line the format has: an S record
+  // with -DBL_MAX in both doubles and both integers at their maximum.
+  const std::string edge_text = oracle_trace_text(edges);
+  std::size_t longest = 0;
+  for (std::size_t pos = 0, end; (end = edge_text.find('\n', pos)) != std::string::npos;
+       pos = end + 1) {
+    longest = std::max(longest, end + 1 - pos);
+  }
+  EXPECT_EQ(longest, 688u);
+
+  const std::string path = ::testing::TempDir() + "pftk_trace_io_oracle.tsv";
+  for (const std::vector<TraceEvent>& events : {simulated_trace(), edges}) {
+    const std::string expected = oracle_trace_text(events);
+    std::ostringstream os;
+    write_trace(os, events);
+    EXPECT_EQ(os.str(), expected);
+    save_trace_file(path, events);
+    EXPECT_EQ(read_bytes(path), expected);
+  }
+  std::remove(path.c_str());
 }
 
 TEST(TraceIo, RoundTripPreservesEveryEvent) {
