@@ -108,6 +108,9 @@ ServeMetrics ServeMetrics::register_on(MetricsRegistry& r,
                              "CALIB trace chunks parsed (deadline checkpoints)");
   m.metrics_flushes = r.counter("pftk_serve_metrics_flushes_total",
                                 "Durable metrics snapshots written");
+  m.metrics_flush_failures =
+      r.counter("pftk_serve_metrics_flush_failures_total",
+                "Metrics snapshot writes that failed (the previous one stays)");
   m.degraded = r.counter("pftk_serve_degraded_total",
                          "Requests answered on the degraded approx path");
   m.degrade_transitions =

@@ -90,6 +90,7 @@ struct ServeMetrics {
   MetricId batched_requests;  ///< pftk_serve_batched_requests_total
   MetricId calib_chunks;      ///< pftk_serve_calib_chunks_total
   MetricId metrics_flushes;   ///< pftk_serve_metrics_flushes_total
+  MetricId metrics_flush_failures;  ///< pftk_serve_metrics_flush_failures_total
   MetricId degraded;          ///< pftk_serve_degraded_total (approx-path answers)
   MetricId degrade_transitions;  ///< pftk_serve_degrade_transitions_total
   MetricId queue_peak;        ///< pftk_serve_queue_peak (gauge)

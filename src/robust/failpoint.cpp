@@ -41,7 +41,7 @@ constexpr std::array<std::pair<std::string_view, std::string_view>, 14> kBuiltin
     {"serve.worker.crash", "serve worker batch loop (action=crash kills the worker)"},
     {"serve.write", "serve daemon response write"},
     {"sup.postmortem.write", "supervisor give-up post-mortem snapshot write"},
-    {"trace.read.line", "trace file line read"},
+    {"trace.read", "trace file load (short_write cuts the image after arg bytes)"},
     {"trace.write", "trace file write"},
 }};
 

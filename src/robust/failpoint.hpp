@@ -121,15 +121,6 @@ inline FailpointHit failpoint(std::string_view name) {
   return FailpointRegistry::instance().evaluate(name);
 }
 
-/// True while any armed spec has not fired yet. Fast paths that cannot
-/// thread a per-site failpoint through their inner loop (e.g. the
-/// chunk-parallel trace reader) consult this once up front and fall
-/// back to the reference implementation, so every armed spec keeps its
-/// deterministic firing order.
-inline bool any_failpoint_armed() noexcept {
-  return detail::g_armed.load(std::memory_order_relaxed) != 0;
-}
-
 /// Simulated crash: flushes nothing, skips atexit/static destructors —
 /// whatever bytes reached the kernel are what a real crash would leave.
 [[noreturn]] void crash_now();

@@ -163,6 +163,7 @@ ServeSummary summarize(const ServeTotals& totals,
   s.degraded = totals.degraded.load();
   s.degrade_transitions = totals.degrade_transitions.load();
   s.queue_peak = totals.queue_peak.load();
+  s.metrics_flush_failures = totals.metrics_flush_failures.load();
   s.latency_p50_s = latency.quantile(0.50);
   s.latency_p99_s = latency.quantile(0.99);
   s.queue_wait_p50_ms = queue_wait.quantile(0.50);
@@ -181,7 +182,8 @@ std::string ServeSummary::describe() const {
      << rejected_connections << ", lost " << disconnects << ")\n"
      << "batches " << batches << " covering " << batched_requests
      << " request(s), calib chunks " << calib_chunks << ", queue peak "
-     << queue_peak << "\n"
+     << queue_peak << ", metrics flush failures " << metrics_flush_failures
+     << "\n"
      << "degraded answers " << degraded << " (mode flips "
      << degrade_transitions << ")\n"
      << "latency p50 " << latency_p50_s * 1e3 << " ms, p99 "
@@ -218,6 +220,7 @@ obs::ObsBundle make_bundle(const ServeTotals& totals,
   add(met.batched_requests, totals.batched_requests);
   add(met.calib_chunks, totals.calib_chunks);
   add(met.metrics_flushes, totals.metrics_flushes);
+  add(met.metrics_flush_failures, totals.metrics_flush_failures);
   add(met.degraded, totals.degraded);
   add(met.degrade_transitions, totals.degrade_transitions);
   shard.set(met.queue_peak,
@@ -267,6 +270,7 @@ ServeSummary summary_from_metrics(const obs::MetricsSnapshot& metrics) {
   s.degraded = counter("pftk_serve_degraded_total");
   s.degrade_transitions = counter("pftk_serve_degrade_transitions_total");
   s.queue_peak = counter("pftk_serve_queue_peak");
+  s.metrics_flush_failures = counter("pftk_serve_metrics_flush_failures_total");
   const auto quantiles = [&metrics](const char* name, double& p50, double& p99) {
     const obs::MetricValue* m = metrics.find(name);
     if (m == nullptr || m->buckets.empty()) {

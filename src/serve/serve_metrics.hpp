@@ -166,6 +166,7 @@ struct ServeSummary {
   std::uint64_t degraded = 0;
   std::uint64_t degrade_transitions = 0;
   std::uint64_t queue_peak = 0;
+  std::uint64_t metrics_flush_failures = 0;
   double latency_p50_s = 0.0;  ///< histogram-estimated
   double latency_p99_s = 0.0;
   double queue_wait_p50_ms = 0.0;  ///< admission-to-dequeue, merged shards

@@ -7,11 +7,10 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <utility>
 
 #include "core/inverse_model.hpp"
@@ -20,6 +19,8 @@
 #include "robust/durable_file.hpp"
 #include "robust/failpoint.hpp"
 #include "trace/trace_io.hpp"
+#include "trace/trace_reader_fast.hpp"
+#include "trace/trace_scan.hpp"
 #include "trace/trace_summary.hpp"
 
 namespace pftk::serve {
@@ -30,10 +31,11 @@ namespace flight = obs::flight;
 using Clock = std::chrono::steady_clock;
 
 constexpr int kPollMs = 50;
-/// CALIB traces are parsed in line-chunks of this size with a deadline
-/// check between chunks, so a huge trace cannot pin a worker past the
-/// request's budget.
-constexpr std::size_t kCalibChunkLines = 4096;
+/// CALIB parses on its worker thread, one line-aligned slice of about
+/// the fast reader's chunk size at a time, with a deadline check before
+/// each slice, so a huge trace cannot pin a worker past the request's
+/// budget.
+constexpr trace::FastReaderOptions kCalibSlice{.threads = 1};
 /// Admission decisions per local shed-rate window (degradation signal).
 constexpr std::uint64_t kDegradeWindow = 256;
 
@@ -809,40 +811,23 @@ void Server::handle_inverse(const QueuedRequest& qr) {
 }
 
 void Server::handle_calib(const QueuedRequest& qr) {
-  std::ifstream in(qr.req.trace_path);
-  if (!in) {
-    throw ProtocolError(ErrCode::kInternal, qr.req.id,
-                        "cannot open trace " + qr.req.trace_path);
-  }
+  const trace::TraceImage image(qr.req.trace_path);
+  const std::string_view data = image.view();
   std::vector<trace::TraceEvent> events;
-  trace::TraceReadReport agg;
-  std::string line;
-  bool more = true;
-  while (more) {
-    // Deadline checkpoint *before* each chunk: a huge trace is abandoned
-    // at a chunk boundary, not after the whole file is parsed.
+  trace::TraceReadReport report;
+  for (const auto& [begin, end] : trace::split_line_aligned(
+           data, std::max<std::size_t>(1, data.size() / kCalibSlice.min_chunk_bytes))) {
+    // Deadline checkpoint *before* each slice: a huge trace is abandoned
+    // at a slice boundary, not after the whole file is parsed.
     if (Clock::now() > qr.deadline) {
       throw ProtocolError(ErrCode::kDeadlineExceeded, qr.req.id,
                           "deadline expired during trace parse");
     }
-    std::ostringstream chunk;
-    std::size_t lines = 0;
-    while (lines < kCalibChunkLines && std::getline(in, line)) {
-      chunk << line << '\n';
-      ++lines;
-    }
-    more = lines == kCalibChunkLines;
-    if (lines == 0) {
-      break;
-    }
-    std::istringstream chunk_in(chunk.str());
-    trace::TraceReadReport report;
-    auto chunk_events = trace::read_trace_lenient(chunk_in, &report);
-    agg.lines_total += report.lines_total;
-    agg.events_parsed += report.events_parsed;
-    agg.lines_dropped += report.lines_dropped;
-    agg.bytes_dropped += report.bytes_dropped;
-    events.insert(events.end(), chunk_events.begin(), chunk_events.end());
+    trace::TraceReadReport slice_report;
+    const auto slice_events = trace::read_trace_buffer(
+        data.substr(begin, end - begin), &slice_report, kCalibSlice);
+    events.insert(events.end(), slice_events.begin(), slice_events.end());
+    report.merge(slice_report);
     totals_.calib_chunks.fetch_add(1, std::memory_order_relaxed);
   }
 
@@ -853,7 +838,10 @@ void Server::handle_calib(const QueuedRequest& qr) {
       {"p", format_number(summary.observed_p)},
       {"rtt", format_number(summary.avg_rtt)},
       {"t0", format_number(summary.avg_timeout)},
-      {"lines_dropped", std::to_string(agg.lines_dropped)},
+      {"lines_dropped", std::to_string(report.lines_dropped)},
+      {"bytes_dropped", std::to_string(report.bytes_dropped)},
+      {"truncated", report.truncated ? "1" : "0"},
+      {"suspect_final", report.suspect_final_event ? "1" : "0"},
   };
   model::ModelParams mp;
   mp.p = summary.observed_p;

@@ -12,7 +12,7 @@
 //     load beyond capacity cannot grow resident memory.
 //   * deadlines over queues — a request's `deadline_ms` budget runs from
 //     admission; expiry is checked at dequeue (before any evaluation)
-//     and again between CALIB trace chunks, so stale work is shed, not
+//     and again before each CALIB trace slice, so stale work is shed, not
 //     finished late.
 //   * graceful drain — request_stop() (the CLI wires SIGINT/SIGTERM via
 //     robust::ShutdownGuard) stops accepting and reading, answers every

@@ -215,7 +215,9 @@ SupervisedServeReport run_supervised_serve(const SupervisedServeConfig& config) 
 
   // Fold the surviving workers' drain snapshots plus the supervision
   // counters into one fleet bundle. A slot whose last generation crashed
-  // never wrote its file — skipped, not an error.
+  // never wrote its file — skipped, not an error. A snapshot with
+  // dropped lines is skipped the same way: merging the salvaged part
+  // would count a subset of a worker's requests.
   SupervisedServeReport report;
   report.gave_up = result.gave_up;
   report.stats = result.stats;
@@ -223,7 +225,17 @@ SupervisedServeReport run_supervised_serve(const SupervisedServeConfig& config) 
   for (int w = 0; w < config.workers; ++w) {
     const std::string path = worker_snapshot_path(config, w);
     try {
-      obs::merge_obs_bundles(fleet, obs::load_obs_file(path));
+      obs::ObsReadReport read;
+      const obs::ObsBundle bundle = obs::load_obs_file(path, &read);
+      if (!read.clean()) {
+        std::fprintf(stderr,
+                     "serve: worker snapshot %s dropped %zu of %zu lines (%s); "
+                     "not merged\n",
+                     path.c_str(), read.lines_dropped, read.lines_total,
+                     read.first_error.c_str());
+        continue;
+      }
+      obs::merge_obs_bundles(fleet, bundle);
       ++report.worker_snapshots;
     } catch (const std::exception&) {
       continue;  // no snapshot: worker crashed (or never reached drain)

@@ -1,8 +1,6 @@
 #include "trace/trace_io.hpp"
 
-#include <algorithm>
 #include <charconv>
-#include <fstream>
 #include <istream>
 #include <limits>
 #include <ostream>
@@ -12,7 +10,6 @@
 
 #include "obs/flight/flight_recorder.hpp"
 #include "robust/durable_file.hpp"
-#include "robust/failpoint.hpp"
 #include "trace/trace_reader_fast.hpp"
 
 namespace pftk::trace {
@@ -111,28 +108,15 @@ std::vector<TraceEvent> read_trace_impl(std::istream& is, ReadMode mode,
   bool final_line_unterminated = false;
   bool final_line_bad = false;
   bool final_line_event = false;
-  bool injected_eof = false;
-  while (!injected_eof && std::getline(is, line)) {
+  while (std::getline(is, line)) {
     ++rep.lines_total;
     // A successful getline that also hit EOF read a line with no trailing
     // newline — on the last line that is the truncation signature.
     final_line_unterminated = is.eof();
     final_line_bad = false;
     final_line_event = false;
-    // Failpoint: simulate a read fault on this line. short_write clips
-    // the line to `arg` bytes and ends the file there (a torn tail);
-    // error/enospc throw robust::IoError; crash kills the process.
-    const robust::FailpointHit hit = robust::failpoint("trace.read.line");
-    if (hit.action == robust::FailpointAction::kShortWrite) {
-      line.resize(std::min<std::size_t>(hit.arg, line.size()));
-      final_line_unterminated = true;
-      injected_eof = true;
-    } else {
-      robust::apply_failpoint(hit, "trace.read.line");
-    }
     // On-disk bytes of this line: content incl. any '\r', plus the '\n'
-    // getline consumed unless the line was unterminated (EOF or an
-    // injected torn tail).
+    // getline consumed unless the line was unterminated.
     const std::size_t disk_bytes = line.size() + (final_line_unterminated ? 0 : 1);
     if (!line.empty() && line.back() == '\r') {
       line.pop_back();  // tolerate CRLF captures
@@ -253,6 +237,24 @@ std::string format_trace(std::span<const TraceEvent> events) {
 
 }  // namespace
 
+TraceReadReport& TraceReadReport::merge(const TraceReadReport& next) {
+  if (next.lines_total == 0) {
+    return *this;  // an empty input: the identity
+  }
+  if (first_error_line == 0 && next.first_error_line != 0) {
+    first_error_line = lines_total + next.first_error_line;
+    first_error = next.first_error;
+  }
+  lines_total += next.lines_total;
+  events_parsed += next.events_parsed;
+  comment_lines += next.comment_lines;
+  lines_dropped += next.lines_dropped;
+  bytes_dropped += next.bytes_dropped;
+  truncated = next.truncated;
+  suspect_final_event = next.suspect_final_event;
+  return *this;
+}
+
 std::string TraceReadReport::describe() const {
   std::ostringstream os;
   os << events_parsed << " events from " << lines_total << " lines";
@@ -293,48 +295,11 @@ void save_trace_file(const std::string& path, std::span<const TraceEvent> events
   robust::atomic_write_file(path, format_trace(events), "trace.write");
 }
 
-std::vector<TraceEvent> load_trace_file(const std::string& path) {
-  PFTK_SPAN("trace.ingest");
-  // Fast path: mmap + chunk-parallel parse. Armed failpoints need the
-  // reference reader's per-line evaluation order, and pipes/devices
-  // cannot be mapped — both fall back below.
-  if (!robust::any_failpoint_armed()) {
-    MmapFile map;
-    bool mapped;
-    {
-      PFTK_SPAN("trace.mmap_open");
-      mapped = map.open(path);
-    }
-    if (mapped) {
-      return read_trace_buffer_strict(map.view());
-    }
-  }
-  std::ifstream is(path);
-  if (!is) {
-    throw std::invalid_argument("load_trace_file: cannot open " + path);
-  }
-  return read_trace(is);
-}
-
 std::vector<TraceEvent> load_trace_file_lenient(const std::string& path,
                                                 TraceReadReport* report) {
   PFTK_SPAN("trace.ingest");
-  if (!robust::any_failpoint_armed()) {
-    MmapFile map;
-    bool mapped;
-    {
-      PFTK_SPAN("trace.mmap_open");
-      mapped = map.open(path);
-    }
-    if (mapped) {
-      return read_trace_buffer(map.view(), report);
-    }
-  }
-  std::ifstream is(path);
-  if (!is) {
-    throw std::invalid_argument("load_trace_file_lenient: cannot open " + path);
-  }
-  return read_trace_lenient(is, report);
+  const TraceImage image(path);
+  return read_trace_buffer(image.view(), report);
 }
 
 }  // namespace pftk::trace

@@ -18,21 +18,22 @@
 // scales; integers are plain decimal and flags are 0/1.
 //
 // Real capture files get truncated, hit disk-full mid-line, and pick up
-// garbage; an hour of capture must not be voided by one bad line. The
-// reader therefore has two modes:
-//   * strict  — throw on the first malformed line (CI round-trip checks);
-//   * lenient — skip malformed lines, recording what was dropped (and
-//     whether the file looks truncated) in a TraceReadReport, so batch
-//     experiments recover the valid prefix and report exact losses.
+// garbage; an hour of capture must not be voided by one bad line. Loads
+// are therefore lenient: malformed lines are skipped and what was
+// dropped (and whether the file looks truncated) is recorded in a
+// TraceReadReport, so batch experiments recover the valid prefix and
+// report exact losses, while user-facing entry points (`pftk analyze`,
+// the serve CALIB verb) surface any report that is not clean().
 // A record is only accepted when the whole line is consumed (trailing
 // whitespace aside): trailing garbage and two records merged onto one
 // line are corruption, not events.
 //
-// The istream readers here are the *reference* implementation. File
-// loads route through the mmap + chunk-parallel fast path in
-// trace_reader_fast.hpp (GB/s-class), which is held byte-identical to
-// these readers by the corruption-matrix parity tests and the
-// `pftk bench` parity gate.
+// The istream readers here (a strict one that throws on the first bad
+// line, and a lenient one) are the *reference* implementation. No
+// production path runs them: load_trace_file_lenient and CALIB parse
+// through the mmap + chunk-parallel reader in trace_reader_fast.hpp,
+// which is held byte-identical to these readers by the corruption-matrix
+// parity tests and the `pftk bench` parity gate.
 #pragma once
 
 #include <iosfwd>
@@ -65,6 +66,14 @@ struct TraceReadReport {
   /// suspect and analyses that care about tail integrity should drop it.
   bool suspect_final_event = false;
 
+  /// Folds in the report of the input that directly follows this one
+  /// (this input is empty or ends in '\n'): counts add, `next`'s line
+  /// numbers are rebased past this input's lines, and the final-line
+  /// flags are `next`'s. Associative, with the empty report as identity,
+  /// so a capture read in line-aligned slices reports exactly what one
+  /// read of the whole would.
+  TraceReadReport& merge(const TraceReadReport& next);
+
   [[nodiscard]] bool clean() const noexcept {
     return lines_dropped == 0 && !truncated && !suspect_final_event;
   }
@@ -77,24 +86,25 @@ struct TraceReadReport {
 /// @throws std::ios_base::failure on stream errors.
 void write_trace(std::ostream& os, std::span<const TraceEvent> events);
 
-/// Reads a trace written by write_trace (strict mode).
+/// Reference reader, strict: reads a trace written by write_trace.
 /// @throws std::invalid_argument on any malformed line (with its number).
 [[nodiscard]] std::vector<TraceEvent> read_trace(std::istream& is);
 
-/// Reads a trace, skipping malformed/truncated lines instead of
-/// throwing. Never throws on content (only on stream faults); fills
-/// `report` (if non-null) with what was salvaged and dropped.
+/// Reference reader, lenient: reads a trace, skipping malformed or
+/// truncated lines instead of throwing. Never throws on content (only
+/// on stream faults); fills `report` (if non-null) with what was
+/// salvaged and dropped.
 [[nodiscard]] std::vector<TraceEvent> read_trace_lenient(std::istream& is,
                                                          TraceReadReport* report = nullptr);
 
-/// Convenience file wrappers. Loads take the mmap + chunk-parallel fast
-/// path (trace_reader_fast.hpp) when the input is a mappable regular
-/// file and no failpoints are armed; pipes, devices and armed-failpoint
-/// runs fall back to the istream reference reader above. Both paths
-/// produce byte-identical events and reports — a tested contract.
-/// @throws std::invalid_argument if the file cannot be opened.
+/// Durably writes the capture (write-temp + fsync + atomic rename).
 void save_trace_file(const std::string& path, std::span<const TraceEvent> events);
-[[nodiscard]] std::vector<TraceEvent> load_trace_file(const std::string& path);
+
+/// Loads a capture leniently through the fast reader: a TraceImage
+/// (mapped, or read into memory for pipes and devices) parsed by
+/// read_trace_buffer. Fills `report` (if non-null) like
+/// read_trace_lenient would.
+/// @throws std::invalid_argument if the file cannot be opened.
 [[nodiscard]] std::vector<TraceEvent> load_trace_file_lenient(
     const std::string& path, TraceReadReport* report = nullptr);
 

@@ -11,10 +11,14 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <fstream>
+#include <iterator>
 #include <stdexcept>
 #include <thread>
 
 #include "obs/flight/flight_recorder.hpp"
+#include "robust/durable_file.hpp"
+#include "robust/failpoint.hpp"
 #include "trace/trace_scan.hpp"
 
 namespace pftk::trace {
@@ -344,71 +348,64 @@ bool parse_line_fast(const char* begin, const char* end, TraceEvent& event,
 
 namespace {
 
-/// Everything one chunk's parse produces. Line counters are chunk-local;
-/// first_error_line_rel is 1-based within the chunk. The last_* flags
-/// describe the chunk's final line and only matter for the final chunk.
-struct ChunkOutcome {
+/// One chunk's parse: its events and its report, with chunk-local line
+/// numbers (TraceReadReport::merge rebases them).
+struct Chunk {
   std::vector<TraceEvent> events;
-  std::size_t lines_total = 0;
-  std::size_t events_parsed = 0;
-  std::size_t comment_lines = 0;
-  std::size_t lines_dropped = 0;
-  std::size_t bytes_dropped = 0;
-  std::size_t first_error_line_rel = 0;
-  std::string first_error;
-  bool last_line_unterminated = false;
-  bool last_line_bad = false;
-  bool last_line_event = false;
+  TraceReadReport report;
 };
 
 void parse_chunk(std::string_view data, std::size_t begin, std::size_t end,
-                 bool stop_at_first_error, ChunkOutcome& out) {
+                 Chunk& out) {
   out.events.reserve((end - begin) / 24 + 4);
+  TraceReadReport& rep = out.report;
   std::size_t pos = begin;
   std::string error;
+  bool terminated = true;
+  bool last_line_bad = false;
+  bool last_line_event = false;
   while (pos < end) {
     const std::size_t nl = find_newline(data.substr(0, end), pos);
-    const bool terminated = nl != std::string_view::npos;
+    terminated = nl != std::string_view::npos;
     const std::size_t raw_end = terminated ? nl : end;
-    ++out.lines_total;
-    out.last_line_unterminated = !terminated;
-    out.last_line_bad = false;
-    out.last_line_event = false;
+    ++rep.lines_total;
+    last_line_bad = false;
+    last_line_event = false;
     const char* line_begin = data.data() + pos;
     const char* content_end = data.data() + raw_end;
     if (content_end > line_begin && content_end[-1] == '\r') {
       --content_end;  // tolerate CRLF captures
     }
     if (content_end == line_begin || *line_begin == '#') {
-      ++out.comment_lines;
+      ++rep.comment_lines;
     } else {
       TraceEvent event;
       if (detail::parse_line_fast(line_begin, content_end, event, error)) {
         out.events.push_back(event);
-        ++out.events_parsed;
-        out.last_line_event = true;
+        ++rep.events_parsed;
+        last_line_event = true;
       } else {
-        out.last_line_bad = true;
-        ++out.lines_dropped;
+        last_line_bad = true;
+        ++rep.lines_dropped;
         // Actual on-disk bytes consumed by the dropped line: content
         // plus any '\r' plus the '\n' terminator if one existed.
-        out.bytes_dropped += (raw_end - pos) + (terminated ? 1 : 0);
-        if (out.first_error_line_rel == 0) {
-          out.first_error_line_rel = out.lines_total;
-          out.first_error = error;
-          if (stop_at_first_error) {
-            return;
-          }
+        rep.bytes_dropped += (raw_end - pos) + (terminated ? 1 : 0);
+        if (rep.first_error_line == 0) {
+          rep.first_error_line = rep.lines_total;
+          rep.first_error = error;
         }
       }
     }
     pos = terminated ? nl + 1 : end;
   }
+  // Only the image's own last line can lack a '\n': every other chunk
+  // ends one byte past one.
+  rep.truncated = !terminated && last_line_bad;
+  rep.suspect_final_event = !terminated && last_line_event;
 }
 
-std::vector<ChunkOutcome> parse_chunks(std::string_view data,
-                                       const FastReaderOptions& options,
-                                       bool stop_at_first_error) {
+std::vector<Chunk> parse_chunks(std::string_view data,
+                                const FastReaderOptions& options) {
   int threads = options.threads;
   if (threads <= 0) {
     const unsigned hw = std::thread::hardware_concurrency();
@@ -418,71 +415,47 @@ std::vector<ChunkOutcome> parse_chunks(std::string_view data,
   const std::size_t want =
       std::min<std::size_t>(static_cast<std::size_t>(threads),
                             std::max<std::size_t>(1, data.size() / min_chunk));
-  const auto chunks = split_line_aligned(data, want);
+  const auto ranges = split_line_aligned(data, want);
 
-  std::vector<ChunkOutcome> outcomes(chunks.size());
+  std::vector<Chunk> chunks(ranges.size());
   // One flight span per chunk, recorded on the thread that parses it
   // (arg = chunk bytes): with --trace-spans the per-thread lanes make
   // parallel-scaling stalls — a straggler chunk, a late-started worker —
   // directly visible in the Perfetto view.
-  if (chunks.size() == 1) {
-    PFTK_SPAN("trace.parse_chunk", chunks[0].second - chunks[0].first);
-    parse_chunk(data, chunks[0].first, chunks[0].second, stop_at_first_error,
-                outcomes[0]);
-    return outcomes;
-  }
+  const auto parse = [&](std::size_t i) {
+    PFTK_SPAN("trace.parse_chunk", ranges[i].second - ranges[i].first);
+    parse_chunk(data, ranges[i].first, ranges[i].second, chunks[i]);
+  };
   std::vector<std::thread> workers;
-  workers.reserve(chunks.size() - 1);
-  for (std::size_t i = 1; i < chunks.size(); ++i) {
-    workers.emplace_back([&, i] {
-      PFTK_SPAN("trace.parse_chunk", chunks[i].second - chunks[i].first);
-      parse_chunk(data, chunks[i].first, chunks[i].second, stop_at_first_error,
-                  outcomes[i]);
-    });
+  workers.reserve(ranges.size() - 1);
+  for (std::size_t i = 1; i < ranges.size(); ++i) {
+    workers.emplace_back(parse, i);
   }
-  {
-    PFTK_SPAN("trace.parse_chunk", chunks[0].second - chunks[0].first);
-    parse_chunk(data, chunks[0].first, chunks[0].second, stop_at_first_error,
-                outcomes[0]);
-  }
+  parse(0);
   for (auto& w : workers) {
     w.join();
   }
-  return outcomes;
+  return chunks;
 }
 
-std::vector<TraceEvent> merge_outcomes(std::vector<ChunkOutcome>&& outcomes,
-                                       TraceReadReport& rep) {
-  PFTK_SPAN("trace.merge", outcomes.size());
+std::vector<TraceEvent> merge_chunks(std::vector<Chunk>&& chunks,
+                                     TraceReadReport& rep) {
+  PFTK_SPAN("trace.merge", chunks.size());
   rep = TraceReadReport{};
   std::size_t total_events = 0;
-  std::size_t line_prefix = 0;
-  for (const ChunkOutcome& c : outcomes) {
+  for (const Chunk& c : chunks) {
+    rep.merge(c.report);
     total_events += c.events.size();
-    rep.lines_total += c.lines_total;
-    rep.events_parsed += c.events_parsed;
-    rep.comment_lines += c.comment_lines;
-    rep.lines_dropped += c.lines_dropped;
-    rep.bytes_dropped += c.bytes_dropped;
-    if (rep.first_error_line == 0 && c.first_error_line_rel != 0) {
-      rep.first_error_line = line_prefix + c.first_error_line_rel;
-      rep.first_error = c.first_error;
-    }
-    line_prefix += c.lines_total;
   }
-  const ChunkOutcome& last = outcomes.back();
-  rep.truncated = last.last_line_unterminated && last.last_line_bad;
-  rep.suspect_final_event = last.last_line_unterminated && last.last_line_event;
-
-  if (outcomes.size() == 1) {
+  if (chunks.size() == 1) {
     // The common single-chunk case (small file, or one core): hand the
     // parsed vector straight back instead of paying a full copy into a
     // fresh allocation.
-    return std::move(outcomes.front().events);
+    return std::move(chunks.front().events);
   }
   std::vector<TraceEvent> events;
   events.reserve(total_events);
-  for (ChunkOutcome& c : outcomes) {
+  for (Chunk& c : chunks) {
     events.insert(events.end(), c.events.begin(), c.events.end());
     c.events.clear();
     c.events.shrink_to_fit();
@@ -496,26 +469,6 @@ MmapFile::~MmapFile() {
   close();
 }
 
-MmapFile::MmapFile(MmapFile&& other) noexcept
-    : data_(other.data_), size_(other.size_), opened_(other.opened_) {
-  other.data_ = nullptr;
-  other.size_ = 0;
-  other.opened_ = false;
-}
-
-MmapFile& MmapFile::operator=(MmapFile&& other) noexcept {
-  if (this != &other) {
-    close();
-    data_ = other.data_;
-    size_ = other.size_;
-    opened_ = other.opened_;
-    other.data_ = nullptr;
-    other.size_ = 0;
-    other.opened_ = false;
-  }
-  return *this;
-}
-
 bool MmapFile::open(const std::string& path) {
   close();
   const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
@@ -525,13 +478,12 @@ bool MmapFile::open(const std::string& path) {
   struct stat st{};
   if (::fstat(fd, &st) != 0 || !S_ISREG(st.st_mode)) {
     ::close(fd);
-    return false;  // pipe/device/dir: the caller's istream fallback
+    return false;  // pipe/device/dir: TraceImage reads it instead
   }
   const auto size = static_cast<std::size_t>(st.st_size);
   if (size == 0) {
     ::close(fd);
-    opened_ = true;  // empty regular file: a valid, empty view
-    return true;
+    return true;  // empty regular file: a valid, empty view
   }
   void* map = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
   ::close(fd);  // the mapping holds its own reference
@@ -541,7 +493,6 @@ bool MmapFile::open(const std::string& path) {
   ::madvise(map, size, MADV_SEQUENTIAL);
   data_ = static_cast<const char*>(map);
   size_ = size;
-  opened_ = true;
   return true;
 }
 
@@ -551,35 +502,38 @@ void MmapFile::close() noexcept {
   }
   data_ = nullptr;
   size_ = 0;
-  opened_ = false;
+}
+
+TraceImage::TraceImage(const std::string& path) {
+  bool mapped;
+  {
+    PFTK_SPAN("trace.mmap_open");
+    mapped = map_.open(path);
+  }
+  if (mapped) {
+    view_ = map_.view();
+  } else {
+    std::ifstream is(path, std::ios::binary);
+    if (!is) {
+      throw std::invalid_argument("cannot open trace " + path);
+    }
+    copy_.assign(std::istreambuf_iterator<char>(is), std::istreambuf_iterator<char>());
+    view_ = copy_;
+  }
+  const robust::FailpointHit hit = robust::failpoint("trace.read");
+  if (hit.action == robust::FailpointAction::kShortWrite) {
+    view_ = view_.substr(0, std::min<std::uint64_t>(hit.arg, view_.size()));
+  } else {
+    robust::apply_failpoint(hit, "trace.read");
+  }
 }
 
 std::vector<TraceEvent> read_trace_buffer(std::string_view data,
                                           TraceReadReport* report,
                                           const FastReaderOptions& options) {
-  auto outcomes = parse_chunks(data, options, /*stop_at_first_error=*/false);
   TraceReadReport local;
-  TraceReadReport& rep = report != nullptr ? *report : local;
-  return merge_outcomes(std::move(outcomes), rep);
-}
-
-std::vector<TraceEvent> read_trace_buffer_strict(std::string_view data,
-                                                 const FastReaderOptions& options) {
-  auto outcomes = parse_chunks(data, options, /*stop_at_first_error=*/true);
-  std::size_t line_prefix = 0;
-  for (const ChunkOutcome& c : outcomes) {
-    if (c.first_error_line_rel != 0) {
-      // Chunks before the first erroring one are error-free, so their
-      // line counts are complete and the prefix sum is the exact global
-      // line number the reference reader would report.
-      throw std::invalid_argument(
-          "read_trace: line " + std::to_string(line_prefix + c.first_error_line_rel) +
-          ": " + c.first_error);
-    }
-    line_prefix += c.lines_total;
-  }
-  TraceReadReport rep;
-  return merge_outcomes(std::move(outcomes), rep);
+  return merge_chunks(parse_chunks(data, options),
+                      report != nullptr ? *report : local);
 }
 
 }  // namespace pftk::trace

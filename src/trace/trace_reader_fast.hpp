@@ -1,24 +1,25 @@
-// The trace fast path: mmap + zero-copy field decoding + chunk-parallel
-// parsing, behind the same contract as the istream reference reader in
-// trace_io.cpp.
+// The trace reader: mmap + zero-copy field decoding + chunk-parallel
+// parsing. Every production path that reads a capture — library loads,
+// `pftk analyze`, the serve CALIB verb — runs this parser; the istream
+// readers in trace_io.hpp are kept only as the reference it is tested
+// against.
 //
-// Pipeline: MmapFile maps the capture read-only (istream fallback for
-// pipes/stdin/unmappable inputs happens one level up, in
-// load_trace_file*), trace_scan splits the mapping into line-aligned
-// chunks, and each chunk is decoded by a hand-rolled parser — no
-// istringstream, no per-line std::string, numbers via std::from_chars
-// with an exact small-decimal fast path. Per-chunk TraceReadReports
-// merge associatively, so lenient accounting (lines/bytes dropped,
-// first error, truncation flags) is byte-exact and invariant to thread
-// count, and strict mode throws with the same line number and message
-// the reference reader would have used.
+// Pipeline: TraceImage maps the capture read-only (pipes and devices,
+// which cannot be mapped, are read into memory instead), trace_scan
+// splits the image into line-aligned chunks, and each chunk is decoded
+// by a hand-rolled parser — no istringstream, no per-line std::string,
+// numbers via std::from_chars with an exact small-decimal fast path.
+// Per-chunk TraceReadReports fold through TraceReadReport::merge, so
+// lenient accounting (lines/bytes dropped, first error, truncation
+// flags) is byte-exact and invariant to thread count and to how a
+// caller slices the image.
 //
 // Parity is a tested contract, not an aspiration: the corruption-matrix
-// test (test_trace_fast) drives both readers over clean, mangled, CRLF,
-// NUL-bearing and torn-tail inputs — including every byte offset of a
-// final-record cut — and requires identical TraceEvent vectors and
-// identical reports at -j1 and -j4. `pftk bench` re-checks parity on
-// every run and gates on it.
+// test (test_trace_fast) drives this reader, the reference reader and a
+// live CALIB over clean, mangled, CRLF, NUL-bearing and torn-tail inputs
+// — including every byte offset of a final-record cut — and requires
+// identical TraceEvent vectors and identical reports at -j1 and -j4.
+// `pftk bench` re-checks parity on every run and gates on it.
 #pragma once
 
 #include <cstddef>
@@ -30,15 +31,13 @@
 
 namespace pftk::trace {
 
-/// Read-only memory map of a regular file. Move-only RAII: the mapping
-/// is released on destruction. Not a mapping? (pipe, device, missing
-/// file) — open() returns false and the caller falls back to istream.
+/// Read-only memory map of a regular file. RAII: the mapping is
+/// released on destruction. Not a mapping? (pipe, device, missing
+/// file) — open() returns false.
 class MmapFile {
  public:
   MmapFile() = default;
   ~MmapFile();
-  MmapFile(MmapFile&& other) noexcept;
-  MmapFile& operator=(MmapFile&& other) noexcept;
   MmapFile(const MmapFile&) = delete;
   MmapFile& operator=(const MmapFile&) = delete;
 
@@ -50,7 +49,6 @@ class MmapFile {
   /// Unmaps; safe to call repeatedly.
   void close() noexcept;
 
-  [[nodiscard]] bool mapped() const noexcept { return opened_; }
   [[nodiscard]] std::string_view view() const noexcept {
     return {data_, size_};
   }
@@ -58,7 +56,26 @@ class MmapFile {
  private:
   const char* data_ = nullptr;
   std::size_t size_ = 0;
-  bool opened_ = false;
+};
+
+/// The bytes of one capture, ready for read_trace_buffer: a read-only
+/// mapping of a regular file, or a copy read into memory when the input
+/// cannot be mapped (pipes, devices). Opening evaluates the `trace.read`
+/// failpoint once: `short_write` cuts the image after `arg` bytes — a
+/// torn capture — and `error`/`enospc` throw robust::IoError.
+class TraceImage {
+ public:
+  /// @throws std::invalid_argument if `path` cannot be opened.
+  explicit TraceImage(const std::string& path);
+  TraceImage(const TraceImage&) = delete;
+  TraceImage& operator=(const TraceImage&) = delete;
+
+  [[nodiscard]] std::string_view view() const noexcept { return view_; }
+
+ private:
+  MmapFile map_;
+  std::string copy_;
+  std::string_view view_;
 };
 
 /// Tunables for the chunk-parallel buffer parser. Defaults are
@@ -71,18 +88,15 @@ struct FastReaderOptions {
   std::size_t min_chunk_bytes = 1u << 20;
 };
 
-/// Lenient parse of an in-memory trace image (an mmap view or any
+/// Lenient parse of an in-memory trace image (a TraceImage view or any
 /// buffer). Same salvage semantics and report accounting as
-/// read_trace_lenient; never throws on content.
+/// read_trace_lenient; never throws on content. A line-aligned slice of
+/// an image parses to the events and report that slice contributes to
+/// the whole: folding the slices' reports with TraceReadReport::merge
+/// gives the whole image's report.
 [[nodiscard]] std::vector<TraceEvent> read_trace_buffer(
     std::string_view data, TraceReadReport* report = nullptr,
     const FastReaderOptions& options = {});
-
-/// Strict parse of an in-memory trace image. Throws std::invalid_argument
-/// with the reference reader's exact "read_trace: line N: ..." message
-/// for the first (lowest-numbered) bad line.
-[[nodiscard]] std::vector<TraceEvent> read_trace_buffer_strict(
-    std::string_view data, const FastReaderOptions& options = {});
 
 namespace detail {
 

@@ -123,7 +123,7 @@ TEST_F(FailpointTest, KnownSitesEnumeratesCanonicalTableSorted) {
   for (const char* name :
        {"checkpoint.rename", "export.jsonl.write", "export.prom.write",
         "journal.append", "journal.flush", "mc.trace.write",
-        "trace.read.line", "trace.write"}) {
+        "trace.read", "trace.write"}) {
     bool found = false;
     for (const auto& [site, description] : sites) {
       if (site == name) {

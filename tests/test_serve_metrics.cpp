@@ -131,6 +131,18 @@ TEST(BusyRetryHint, WedgedShardIsCappedAtThirtySeconds) {
             1u);
 }
 
+TEST(ServeMetrics, FlushFailuresRoundTripThroughTheBundle) {
+  ServeTotals totals;
+  totals.metrics_flush_failures = 3;
+  ConcurrentHistogram latency(default_latency_bounds());
+  ConcurrentHistogram queue_wait(default_queue_wait_bounds_ms());
+  const auto bundle = make_bundle(totals, latency, queue_wait.snapshot());
+  const auto* m = bundle.metrics.find("pftk_serve_metrics_flush_failures_total");
+  ASSERT_NE(m, nullptr);
+  EXPECT_DOUBLE_EQ(m->value, 3.0);
+  EXPECT_EQ(summary_from_metrics(bundle.metrics).metrics_flush_failures, 3u);
+}
+
 TEST(ServeMetrics, BundleExportsQueueWaitHistogram) {
   ServeTotals totals;
   ConcurrentHistogram latency(default_latency_bounds());

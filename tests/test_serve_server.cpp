@@ -183,6 +183,13 @@ TEST(ServeServer, CalibSummarizesATraceAndReportsDroppedLines) {
   EXPECT_EQ(*resp.find("packets"), "10");
   ASSERT_NE(resp.find("lines_dropped"), nullptr);
   EXPECT_EQ(*resp.find("lines_dropped"), "1");  // lenient read salvages the rest
+  ASSERT_NE(resp.find("bytes_dropped"), nullptr);
+  EXPECT_EQ(*resp.find("bytes_dropped"),
+            std::to_string(std::string("this line is damaged garbage\n").size()));
+  ASSERT_NE(resp.find("truncated"), nullptr);
+  EXPECT_EQ(*resp.find("truncated"), "0");
+  ASSERT_NE(resp.find("suspect_final"), nullptr);
+  EXPECT_EQ(*resp.find("suspect_final"), "0");
 
   // An unreadable trace is an INTERNAL answer, not a dropped request.
   ASSERT_TRUE(client.send_text("CALIB c2 trace=/nonexistent/trace.tsv\n"));
@@ -391,6 +398,65 @@ TEST(ServeServer, DrainFlushesAParseableDurableSnapshot) {
   ASSERT_NE(latency, nullptr);
   EXPECT_EQ(latency->count, 5u);
   std::remove(config.metrics_out.c_str());
+}
+
+TEST(ServeServer, CalibDeadlineExpiresInsideTheParseLoop) {
+  // The service-time inflation (slow_us) runs after the dequeue-time
+  // deadline check and outlasts the request's budget, so the request is
+  // live at dequeue and expires at the parse loop's first slice check.
+  const std::string trace_path =
+      "/tmp/pftk_tsrv_calibdl_" + std::to_string(::getpid()) + ".tsv";
+  {
+    std::ofstream out(trace_path);
+    out << "S 0.100000000 1 0 1 2\nA 0.200000000 1 0\n";
+  }
+  ServeConfig config = base_config("calibdeadline");
+  config.slow_us = 100'000;
+  Server server(config);
+  server.start();
+  RawClient client(config.socket_path);
+  ASSERT_TRUE(client.connected());
+
+  ASSERT_TRUE(client.send_text("CALIB d1 trace=" + trace_path + " deadline_ms=20\n"));
+  const Response resp = parse_response(client.read_line());
+  EXPECT_FALSE(resp.ok);
+  EXPECT_EQ(resp.id, "d1");
+  EXPECT_EQ(resp.code, ErrCode::kDeadlineExceeded);
+  ASSERT_NE(resp.find("msg"), nullptr);
+  EXPECT_EQ(*resp.find("msg"), "deadline_expired_during_trace_parse");
+
+  server.request_stop();
+  const ServeSummary summary = server.wait();
+  EXPECT_EQ(summary.deadline_missed, 1u);
+  EXPECT_EQ(summary.served, 0u);
+  EXPECT_EQ(summary.calib_chunks, 0u);  // abandoned before the first slice
+  EXPECT_TRUE(summary.accounting_ok()) << summary.describe();
+  std::remove(trace_path.c_str());
+}
+
+TEST(ServeServer, FailedMetricsFlushesAreCountedAndShown) {
+  // The snapshot's directory does not exist: every flush fails, serving
+  // goes on, and the failures reach the summary and its description.
+  ServeConfig config = base_config("flushfail");
+  config.metrics_out = "/nonexistent-pftk-dir/serve-metrics.jsonl";
+  config.metrics_every = 1;
+  Server server(config);
+  server.start();
+  RawClient client(config.socket_path);
+  ASSERT_TRUE(client.connected());
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(client.send_text("MODEL f" + std::to_string(i) +
+                                 " p=0.02 rtt=0.1 t0=0.4 wm=16\n"));
+    EXPECT_TRUE(parse_response(client.read_line()).ok);
+  }
+  server.request_stop();
+  const ServeSummary summary = server.wait();
+  EXPECT_EQ(summary.served, 3u);
+  EXPECT_TRUE(summary.accounting_ok());
+  // One per served request plus the drain flush.
+  EXPECT_EQ(summary.metrics_flush_failures, 4u);
+  EXPECT_NE(summary.describe().find("metrics flush failures 4"), std::string::npos)
+      << summary.describe();
 }
 
 TEST(ServeServer, ConfigValidationIsTyped) {

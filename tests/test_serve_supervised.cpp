@@ -26,6 +26,7 @@
 #include <string>
 #include <thread>
 
+#include "obs/export.hpp"
 #include "robust/failpoint.hpp"
 #include "robust/shutdown.hpp"
 #include "serve/load_client.hpp"
@@ -51,7 +52,9 @@ struct DaemonVerdict {
   std::uint64_t restarts = 0;
   std::uint64_t crashes = 0;
   bool fleet_ok = false;
+  int worker_snapshots = -1;
   bool have_status = false;
+  std::string daemon_stderr;  ///< captured only when asked for
 };
 
 /// Forks the supervised daemon with `failpoint_spec` armed, runs
@@ -61,15 +64,20 @@ DaemonVerdict run_supervised_chaos(const std::string& tag,
                                    const std::string& failpoint_spec,
                                    const SupervisedServeConfig& base,
                                    const std::function<void()>& driver,
-                                   bool send_term = true) {
+                                   bool send_term = true,
+                                   bool capture_stderr = false) {
   const std::string socket_path = unique_path(tag, ".sock");
   const std::string status_path = unique_path(tag, ".status");
+  const std::string stderr_path = unique_path(tag, ".stderr");
   std::remove(socket_path.c_str());
   std::remove(status_path.c_str());
 
   const pid_t child = ::fork();
   EXPECT_GE(child, 0);
   if (child == 0) {
+    if (capture_stderr) {
+      (void)std::freopen(stderr_path.c_str(), "w", stderr);
+    }
     if (!failpoint_spec.empty()) {
       robust::FailpointRegistry::instance().arm_specs(failpoint_spec);
     }
@@ -83,19 +91,23 @@ DaemonVerdict run_supervised_chaos(const std::string& tag,
     std::uint64_t restarts = 0;
     std::uint64_t crashes = 0;
     bool fleet_ok = false;
+    int worker_snapshots = -1;
     try {
       const SupervisedServeReport report = run_supervised_serve(config);
       code = report.exit_code;
       restarts = report.stats.restarts;
       crashes = report.stats.crashes;
       fleet_ok = report.fleet_accounting_ok;
+      worker_snapshots = report.worker_snapshots;
     } catch (...) {
       code = 99;
     }
     {
       std::ofstream os(status_path);
-      os << restarts << " " << crashes << " " << (fleet_ok ? 1 : 0) << "\n";
+      os << restarts << " " << crashes << " " << (fleet_ok ? 1 : 0) << " "
+         << worker_snapshots << "\n";
     }
+    std::fflush(stderr);
     std::_Exit(code);
   }
 
@@ -123,11 +135,17 @@ DaemonVerdict run_supervised_chaos(const std::string& tag,
   std::ifstream is(status_path);
   if (is) {
     int ok = 0;
-    is >> verdict.restarts >> verdict.crashes >> ok;
+    is >> verdict.restarts >> verdict.crashes >> ok >> verdict.worker_snapshots;
     verdict.fleet_ok = ok == 1;
     verdict.have_status = static_cast<bool>(is);
   }
   std::remove(status_path.c_str());
+  if (capture_stderr) {
+    std::ifstream err(stderr_path);
+    verdict.daemon_stderr.assign(std::istreambuf_iterator<char>(err),
+                                 std::istreambuf_iterator<char>());
+    std::remove(stderr_path.c_str());
+  }
   return verdict;
 }
 
@@ -243,6 +261,56 @@ TEST_F(ServeSupervisedTest, RepeatCrashesTripBreakerWithExitFourAndPostmortem) {
             std::string::npos);
   EXPECT_NE(body.str().find("restart budget exhausted"), std::string::npos);
   std::remove(postmortem.c_str());
+}
+
+TEST_F(ServeSupervisedTest, DamagedWorkerSnapshotIsNamedAndNotMerged) {
+  // A hand-damaged `.w0`: a snapshot of 7 requests, all served, whose
+  // served line is torn. The salvaged part (7 requests, 0 served) would
+  // break the fleet identity if merged; the parent must skip it like a
+  // missing snapshot and name it on stderr. An injected write error
+  // fails the worker's own drain snapshot, so the damaged file is what
+  // the parent finds (the parent's merged-file write fails the same way,
+  // which it reports and survives).
+  const std::string metrics_out = unique_path("damaged", ".jsonl");
+  const std::string w0 = metrics_out + ".w0";
+  {
+    ServeTotals totals;
+    totals.requests = 7;
+    totals.served = 7;
+    ConcurrentHistogram latency(default_latency_bounds());
+    ConcurrentHistogram queue_wait(default_queue_wait_bounds_ms());
+    obs::save_obs_file(w0, make_bundle(totals, latency, queue_wait.snapshot()));
+    std::ifstream in(w0);
+    std::string text((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+    const std::size_t at = text.find("{\"kind\":\"metric\",\"type\":\"counter\","
+                                     "\"name\":\"pftk_serve_served_total\"");
+    ASSERT_NE(at, std::string::npos);
+    text.erase(at + 30, text.find('\n', at) - (at + 30));
+    std::ofstream(w0, std::ios::trunc) << text;
+  }
+  obs::ObsReadReport read;
+  (void)obs::load_obs_file(w0, &read);
+  ASSERT_EQ(read.lines_dropped, 1u) << "the hand damage must drop one line";
+
+  SupervisedServeConfig config;
+  config.workers = 1;
+  config.serve.shards = 1;
+  config.serve.metrics_out = metrics_out;
+  const DaemonVerdict verdict = run_supervised_chaos(
+      "damaged", "export.jsonl.write:after=0:action=error", config, [] {},
+      /*send_term=*/true, /*capture_stderr=*/true);
+
+  EXPECT_EQ(verdict.exit_code, 3) << verdict.daemon_stderr;
+  ASSERT_TRUE(verdict.have_status);
+  EXPECT_TRUE(verdict.fleet_ok) << "a torn snapshot was merged in part";
+  EXPECT_EQ(verdict.worker_snapshots, 0);
+  EXPECT_NE(verdict.daemon_stderr.find("worker snapshot " + w0), std::string::npos)
+      << verdict.daemon_stderr;
+  EXPECT_NE(verdict.daemon_stderr.find("not merged"), std::string::npos)
+      << verdict.daemon_stderr;
+  std::remove(w0.c_str());
+  std::remove(metrics_out.c_str());
 }
 
 TEST_F(ServeSupervisedTest, ExternalDegradeFlagServesApproximateTagged) {

@@ -1,14 +1,22 @@
-// Corruption-matrix parity tests for the mmap/chunk-parallel trace fast
-// path (trace_reader_fast.*) against the istream reference reader, plus
-// regression tests for the three silent-parse bugs fixed alongside it:
+// Corruption-matrix parity tests for the trace reader (mmap image +
+// chunk-parallel parser, trace_reader_fast.*) against the istream
+// reference reader, plus regression tests for the three silent-parse
+// bugs fixed alongside it:
 //   1. trailing garbage / merged records were accepted as valid events;
 //   2. bytes_dropped miscounted CRLF (-1) and torn tails (+1);
 //   3. an unterminated-but-parseable final line went unflagged.
 // Every matrix case asserts identical events (bit-exact doubles) and an
 // identical TraceReadReport, at one chunk and at many forced chunks, so
-// the accounting is provably invariant to thread count.
+// the accounting is provably invariant to thread count. A CALIB column
+// sends every case through a live serve::Server and requires the same
+// damage fields and the same p/rtt/t0 as a library load.
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+#include <sys/un.h>
+#include <unistd.h>
+
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <cstdio>
@@ -19,10 +27,14 @@
 #include <string>
 #include <vector>
 
+#include "robust/durable_file.hpp"
 #include "robust/failpoint.hpp"
+#include "serve/protocol.hpp"
+#include "serve/server.hpp"
 #include "trace/trace_io.hpp"
 #include "trace/trace_reader_fast.hpp"
 #include "trace/trace_scan.hpp"
+#include "trace/trace_summary.hpp"
 
 namespace pftk::trace {
 namespace {
@@ -87,9 +99,98 @@ void expect_reports_identical(const TraceReadReport& a, const TraceReadReport& b
   EXPECT_EQ(a.suspect_final_event, b.suspect_final_event) << label;
 }
 
-/// Both readers, lenient and strict, over one input: events and every
-/// report field must match at 1 chunk and at many forced tiny chunks.
-void expect_full_parity(const std::string& content, const std::string& label) {
+std::string write_temp(const std::string& name, const std::string& content) {
+  const std::string path = testing::TempDir() + name;
+  std::ofstream os(path, std::ios::binary | std::ios::trunc);
+  os << content;
+  return path;
+}
+
+/// The CALIB entry point as a matrix column: one live Server and one
+/// connection, reused for every case. Each case is written to a file and
+/// sent as a CALIB request; the answer must carry the reference report's
+/// damage fields and the p/rtt/t0 that load_trace_file_lenient +
+/// summarize_trace give for the same file.
+class CalibColumn {
+ public:
+  CalibColumn() : server_(make_config()) {
+    server_.start();
+    fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::snprintf(addr.sun_path, sizeof(addr.sun_path), "%s",
+                  server_.config().socket_path.c_str());
+    connected_ =
+        ::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0;
+  }
+  ~CalibColumn() {
+    ::close(fd_);
+    server_.request_stop();
+    (void)server_.wait();
+    std::remove(path_.c_str());
+  }
+  CalibColumn(const CalibColumn&) = delete;
+  CalibColumn& operator=(const CalibColumn&) = delete;
+
+  [[nodiscard]] std::uint64_t slices_parsed() const {
+    return server_.totals().calib_chunks.load();
+  }
+
+  void check(const std::string& content, const TraceReadReport& ref,
+             const std::string& label) {
+    ASSERT_TRUE(connected_) << label;
+    (void)write_temp(kFile, content);
+    const std::string request = "CALIB m trace=" + path_ + "\n";
+    ASSERT_EQ(::send(fd_, request.data(), request.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(request.size()))
+        << label;
+    const serve::Response resp = serve::parse_response(read_line());
+    ASSERT_TRUE(resp.ok) << label;
+    const auto field = [&](const char* key) {
+      const std::string* v = resp.find(key);
+      return v == nullptr ? std::string("<missing>") : *v;
+    };
+    EXPECT_EQ(field("lines_dropped"), std::to_string(ref.lines_dropped)) << label;
+    EXPECT_EQ(field("bytes_dropped"), std::to_string(ref.bytes_dropped)) << label;
+    EXPECT_EQ(field("truncated"), ref.truncated ? "1" : "0") << label;
+    EXPECT_EQ(field("suspect_final"), ref.suspect_final_event ? "1" : "0") << label;
+    const TraceSummary s = summarize_trace(load_trace_file_lenient(path_), 3);
+    EXPECT_EQ(field("p"), serve::format_number(s.observed_p)) << label;
+    EXPECT_EQ(field("rtt"), serve::format_number(s.avg_rtt)) << label;
+    EXPECT_EQ(field("t0"), serve::format_number(s.avg_timeout)) << label;
+  }
+
+ private:
+  static constexpr const char* kFile = "pftk_calib_matrix.tsv";
+
+  static serve::ServeConfig make_config() {
+    serve::ServeConfig config;
+    config.socket_path =
+        "/tmp/pftk_tfast_" + std::to_string(::getpid()) + ".sock";
+    config.shards = 1;
+    return config;
+  }
+
+  std::string read_line() {
+    std::string line;
+    char c = 0;
+    while (::recv(fd_, &c, 1, 0) == 1 && c != '\n') {
+      line += c;
+    }
+    return line;
+  }
+
+  serve::Server server_;
+  std::string path_ = testing::TempDir() + kFile;
+  int fd_ = -1;
+  bool connected_ = false;
+};
+
+/// The fast reader over one input, at one chunk and at many forced tiny
+/// chunks, and the CALIB column: events and every report field must
+/// match the reference reader's.
+void expect_full_parity(const std::string& content, const std::string& label,
+                        CalibColumn& calib) {
   const Parsed ref = reference_lenient(content);
   const FastReaderOptions variants[] = {
       {.threads = 1, .min_chunk_bytes = 1u << 20},
@@ -103,31 +204,7 @@ void expect_full_parity(const std::string& content, const std::string& label) {
     expect_events_identical(ref.events, fast.events, tag);
     expect_reports_identical(ref.report, fast.report, tag);
   }
-
-  // Strict parity: same outcome, and on failure the same line/message.
-  std::string ref_error;
-  bool ref_threw = false;
-  {
-    std::istringstream is(content);
-    try {
-      (void)read_trace(is);
-    } catch (const std::invalid_argument& e) {
-      ref_threw = true;
-      ref_error = e.what();
-    }
-  }
-  for (const auto& opts : variants) {
-    std::string fast_error;
-    bool fast_threw = false;
-    try {
-      (void)read_trace_buffer_strict(content, opts);
-    } catch (const std::invalid_argument& e) {
-      fast_threw = true;
-      fast_error = e.what();
-    }
-    EXPECT_EQ(ref_threw, fast_threw) << label;
-    EXPECT_EQ(ref_error, fast_error) << label;
-  }
+  calib.check(content, ref.report, label + " [CALIB]");
 }
 
 // ---------------------------------------------------------------------------
@@ -184,17 +261,19 @@ TEST(TraceFastParity, CorruptionMatrix) {
       {"huge garbage line", std::string(10000, 'x') + "\n" + g},
       {"binary garbage", std::string("\x01\x02\xff\xfe\n") + g},
   };
+  CalibColumn calib;
   for (const auto& c : cases) {
-    expect_full_parity(c.content, c.name);
+    expect_full_parity(c.content, c.name, calib);
   }
 }
 
 TEST(TraceFastParity, TornTailAtEveryByteOffset) {
   const std::string prefix = good_block();
   const std::string last = "S\t12.345678901\t17\t1\t9\t23.000000000";
+  CalibColumn calib;
   for (std::size_t cut = 0; cut <= last.size(); ++cut) {
     const std::string content = prefix + last.substr(0, cut);
-    expect_full_parity(content, "torn tail cut=" + std::to_string(cut));
+    expect_full_parity(content, "torn tail cut=" + std::to_string(cut), calib);
   }
 }
 
@@ -219,6 +298,26 @@ TEST(TraceFastParity, ChunkBoundarySweep) {
     expect_events_identical(ref.events, fast.events, tag);
     expect_reports_identical(ref.report, fast.report, tag);
   }
+}
+
+TEST(TraceFastParity, CalibSlicesALargeCaptureLikeOneRead) {
+  // Over 2 MiB: CALIB parses it in more than one ~1 MiB slice, and the
+  // folded slice reports must still be the one-read report, damage from
+  // both slices and the torn tail included.
+  std::string content;
+  int block = 0;
+  while (content.size() < (5u << 19)) {
+    content += good_block();
+    if (++block % 9000 == 1) {
+      content += "garbage line " + std::to_string(block) + "\n";
+    }
+  }
+  content += "S\t99.0\t12";
+  CalibColumn calib;
+  const Parsed ref = reference_lenient(content);
+  ASSERT_GE(ref.report.lines_dropped, 3u);
+  calib.check(content, ref.report, "large capture");
+  EXPECT_EQ(calib.slices_parsed(), 2u);
 }
 
 TEST(TraceFastParity, ReportInvariantAcrossThreadCounts) {
@@ -303,15 +402,47 @@ TEST(TraceParseBugfix, UnterminatedParseableFinalLineIsSuspect) {
   EXPECT_NE(rep.describe().find("no newline"), std::string::npos) << rep.describe();
 }
 
-// ---------------------------------------------------------------------------
-// File-level fast path: mmap load, fallbacks, failpoints.
-
-std::string write_temp(const std::string& name, const std::string& content) {
-  const std::string path = testing::TempDir() + name;
-  std::ofstream os(path, std::ios::binary | std::ios::trunc);
-  os << content;
-  return path;
+TEST(TraceReadReportMerge, LineAlignedSlicesFoldToTheWholeReport) {
+  // Every split of a damaged input into three line-aligned slices: the
+  // slices' reports fold to the whole input's report in either grouping,
+  // and the empty report is the identity on both sides.
+  const std::string content = good_block() + "junk\n" + good_block() +
+                              "F\t1.0\t5\tgarbage\n" + kGood1 + "S\t99.0\t12";
+  std::vector<std::size_t> cuts{0};
+  for (std::size_t i = 0; i < content.size(); ++i) {
+    if (content[i] == '\n') {
+      cuts.push_back(i + 1);
+    }
+  }
+  cuts.push_back(content.size());
+  const Parsed whole = reference_lenient(content);
+  for (std::size_t a = 0; a < cuts.size(); ++a) {
+    for (std::size_t b = a; b < cuts.size(); ++b) {
+      const std::string tag = "cuts " + std::to_string(cuts[a]) + "/" +
+                              std::to_string(cuts[b]);
+      const Parsed x = reference_lenient(content.substr(0, cuts[a]));
+      const Parsed y = reference_lenient(content.substr(cuts[a], cuts[b] - cuts[a]));
+      const Parsed z = reference_lenient(content.substr(cuts[b]));
+      TraceReadReport left = x.report;
+      left.merge(y.report).merge(z.report);
+      TraceReadReport yz = y.report;
+      yz.merge(z.report);
+      TraceReadReport right = x.report;
+      right.merge(yz);
+      expect_reports_identical(whole.report, left, tag + " (x+y)+z");
+      expect_reports_identical(whole.report, right, tag + " x+(y+z)");
+    }
+  }
+  TraceReadReport empty;
+  empty.merge(whole.report);
+  expect_reports_identical(whole.report, empty, "empty+whole");
+  TraceReadReport same = whole.report;
+  same.merge(TraceReadReport{});
+  expect_reports_identical(whole.report, same, "whole+empty");
 }
+
+// ---------------------------------------------------------------------------
+// File-level loads: the mapped image, unmappable inputs, the failpoint.
 
 TEST(TraceFastFile, MmapLoadMatchesReferenceReader) {
   std::string content;
@@ -330,16 +461,11 @@ TEST(TraceFastFile, MmapLoadMatchesReferenceReader) {
   std::remove(path.c_str());
 }
 
-TEST(TraceFastFile, StrictLoadThrowsIdenticalMessage) {
-  const std::string content = good_block() + "X\t1\t2\t3\n";
-  const std::string path = write_temp("pftk_fast_strict.tsv", content);
-  std::string fast_what;
-  try {
-    (void)load_trace_file(path);
-    FAIL() << "expected an exception";
-  } catch (const std::invalid_argument& e) {
-    fast_what = e.what();
-  }
+TEST(TraceFastFile, LoadReportNamesTheReferenceStrictError) {
+  const std::string content = good_block() + "X\t1\t2\t3\n" + good_block();
+  const std::string path = write_temp("pftk_fast_first_error.tsv", content);
+  TraceReadReport rep;
+  (void)load_trace_file_lenient(path, &rep);
   std::string ref_what;
   try {
     std::istringstream is(content);
@@ -348,8 +474,9 @@ TEST(TraceFastFile, StrictLoadThrowsIdenticalMessage) {
   } catch (const std::invalid_argument& e) {
     ref_what = e.what();
   }
-  EXPECT_EQ(ref_what, fast_what);
-  EXPECT_NE(fast_what.find("line 7"), std::string::npos) << fast_what;
+  EXPECT_EQ(rep.first_error_line, 7u);
+  EXPECT_EQ(ref_what, "read_trace: line " + std::to_string(rep.first_error_line) +
+                          ": " + rep.first_error);
   std::remove(path.c_str());
 }
 
@@ -361,41 +488,65 @@ TEST(TraceFastFile, EmptyFileAndDeviceFallback) {
   EXPECT_EQ(rep.lines_total, 0u);
   std::remove(path.c_str());
 
-  // /dev/null is a character device: not mappable, istream fallback.
+  // /dev/null is a character device: not mappable, read into memory.
   TraceReadReport dev_rep;
   EXPECT_TRUE(load_trace_file_lenient("/dev/null", &dev_rep).empty());
   EXPECT_TRUE(dev_rep.clean());
 }
 
-TEST(TraceFastFile, ArmedFailpointFallsBackAndStillFires) {
+TEST(TraceFastFile, PipeIsReadIntoMemoryWithTheSameReport) {
+  // A pipe cannot be mapped: the load reads it into memory and parses
+  // that copy, torn tail included.
+  const std::string content = good_block() + "junk\n" + good_block() + "A\t0.6\t1\t0";
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  ASSERT_EQ(::write(fds[1], content.data(), content.size()),
+            static_cast<ssize_t>(content.size()));
+  ::close(fds[1]);
+  TraceReadReport rep;
+  const auto events =
+      load_trace_file_lenient("/proc/self/fd/" + std::to_string(fds[0]), &rep);
+  ::close(fds[0]);
+  const Parsed ref = reference_lenient(content);
+  expect_events_identical(ref.events, events, "pipe");
+  expect_reports_identical(ref.report, rep, "pipe");
+  EXPECT_TRUE(rep.suspect_final_event);
+}
+
+TEST(TraceFastFile, ReadFailpointCutsTheImageOnce) {
   const std::string content = good_block() + good_block();
   const std::string path = write_temp("pftk_fast_failpoint.tsv", content);
-
-  // Reference behavior with the spec armed on a plain istream read.
-  robust::FailpointRegistry::instance().disarm_all();
-  robust::FailpointRegistry::instance().arm_specs(
-      "trace.read.line:after=3:action=short_write:arg=2");
-  Parsed ref;
-  {
-    std::ifstream is(path);
-    ref.events = read_trace_lenient(is, &ref.report);
+  auto& registry = robust::FailpointRegistry::instance();
+  // Cuts at the start, mid-comment, mid-record, on a record boundary,
+  // one byte short of the end, at the end and past it.
+  const std::size_t boundary = content.find("A\t");
+  for (const std::size_t cut :
+       {std::size_t{0}, std::size_t{5}, std::size_t{20}, boundary,
+        content.size() - 1, content.size(), content.size() + 100}) {
+    const std::string tag = "cut=" + std::to_string(cut);
+    registry.disarm_all();
+    registry.arm_specs("trace.read:after=0:action=short_write:arg=" +
+                       std::to_string(cut));
+    TraceReadReport rep;
+    const auto events = load_trace_file_lenient(path, &rep);
+    EXPECT_EQ(registry.fired_count("trace.read"), 1u) << tag;
+    EXPECT_EQ(registry.evaluation_count("trace.read"), 1u) << tag;
+    const Parsed ref = reference_lenient(content.substr(0, std::min(cut, content.size())));
+    expect_events_identical(ref.events, events, tag);
+    expect_reports_identical(ref.report, rep, tag);
   }
-  EXPECT_EQ(robust::FailpointRegistry::instance().fired_count("trace.read.line"), 1u);
+  // A cut inside the second record's line leaves a torn, unparseable tail.
+  registry.disarm_all();
+  registry.arm_specs("trace.read:after=0:action=short_write:arg=" +
+                     std::to_string(boundary + 4));
+  TraceReadReport torn;
+  (void)load_trace_file_lenient(path, &torn);
+  EXPECT_TRUE(torn.truncated);
 
-  // The file loader must take the fallback (not the mmap path) while the
-  // spec is armed, so the torn tail is injected identically.
-  robust::FailpointRegistry::instance().disarm_all();
-  robust::FailpointRegistry::instance().arm_specs(
-      "trace.read.line:after=3:action=short_write:arg=2");
-  TraceReadReport fp_rep;
-  const auto fp_events = load_trace_file_lenient(path, &fp_rep);
-  robust::FailpointRegistry::instance().disarm_all();
-
-  expect_events_identical(ref.events, fp_events, "failpoint fallback");
-  expect_reports_identical(ref.report, fp_rep, "failpoint fallback");
-  // The injected short_write clips line 4 ("# header" + 3 records, so a
-  // record line) to 2 bytes: a torn, unparseable tail.
-  EXPECT_TRUE(fp_rep.truncated);
+  registry.disarm_all();
+  registry.arm_specs("trace.read:after=0:action=error");
+  EXPECT_THROW((void)load_trace_file_lenient(path, &torn), robust::IoError);
+  registry.disarm_all();
   std::remove(path.c_str());
 }
 

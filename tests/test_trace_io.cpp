@@ -200,8 +200,6 @@ TEST(TraceIo, MalformedLinesAreRejectedWithLineNumbers) {
 }
 
 TEST(TraceIo, FileWrappersRejectBadPaths) {
-  EXPECT_THROW((void)load_trace_file("/nonexistent/dir/trace.txt"),
-               std::invalid_argument);
   EXPECT_THROW(save_trace_file("/nonexistent/dir/trace.txt", {}), pftk::robust::IoError);
   EXPECT_THROW((void)load_trace_file_lenient("/nonexistent/dir/trace.txt"),
                std::invalid_argument);

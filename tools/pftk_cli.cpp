@@ -1307,7 +1307,14 @@ int cmd_analyze(int argc, char** argv) {
   if (argc < 3) {
     return usage();
   }
-  const auto events = pftk::trace::load_trace_file(argv[2]);
+  // A damaged capture is refused, not analyzed: a torn or corrupt file
+  // would skew p, RTT and T0 with no sign on stdout.
+  pftk::trace::TraceReadReport report;
+  const auto events = pftk::trace::load_trace_file_lenient(argv[2], &report);
+  if (!report.clean()) {
+    std::cerr << argv[2] << ": " << report.describe() << "\n";
+    return 1;
+  }
   const int threshold = argc > 3 ? std::atoi(argv[3]) : 3;
 
   const auto validation = pftk::trace::validate_trace(events);
