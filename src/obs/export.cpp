@@ -128,11 +128,11 @@ void write_prometheus(std::ostream& os, const MetricsSnapshot& snapshot) {
     if (mv.kind == MetricKind::kHistogram) {
       std::uint64_t cumulative = 0;
       for (std::size_t i = 0; i < mv.bounds.size(); ++i) {
-        cumulative += mv.buckets[i];
+        cumulative = saturating_add(cumulative, mv.buckets[i]);
         os << mv.name << "_bucket{le=\"" << format_double(mv.bounds[i]) << "\"} "
            << cumulative << "\n";
       }
-      cumulative += mv.buckets.back();
+      cumulative = saturating_add(cumulative, mv.buckets.back());
       os << mv.name << "_bucket{le=\"+Inf\"} " << cumulative << "\n"
          << mv.name << "_sum " << format_double(mv.sum) << "\n"
          << mv.name << "_count " << mv.count << "\n";

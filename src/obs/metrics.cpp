@@ -126,11 +126,12 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
         mv.value += slot.value;
       }
       if (mv.kind == MetricKind::kHistogram) {
-        mv.count += slot.count;
+        mv.count = saturating_add(mv.count, slot.count);
         mv.sum += slot.sum;
-        mv.rejected += slot.rejected;
+        mv.rejected = saturating_add(mv.rejected, slot.rejected);
         for (std::size_t b = 0; b < mv.buckets.size(); ++b) {
-          mv.buckets[b] += shard.buckets_[slot.first_bucket + b];
+          mv.buckets[b] =
+              saturating_add(mv.buckets[b], shard.buckets_[slot.first_bucket + b]);
         }
       }
     }
@@ -166,25 +167,56 @@ MetricsSnapshot& MetricsSnapshot::merge(const MetricsSnapshot& other) {
       metrics.push_back(theirs);
       continue;
     }
-    if (ours->kind != theirs.kind || ours->bounds != theirs.bounds) {
-      throw std::invalid_argument("MetricsSnapshot::merge: metric '" + theirs.name +
-                                  "' disagrees on kind or bucket bounds");
-    }
-    if (ours->kind == MetricKind::kGauge) {
-      ours->value = std::max(ours->value, theirs.value);
-    } else {
-      ours->value += theirs.value;
-    }
-    if (ours->kind == MetricKind::kHistogram) {
-      ours->count += theirs.count;
-      ours->sum += theirs.sum;
-      ours->rejected += theirs.rejected;
-      for (std::size_t b = 0; b < ours->buckets.size(); ++b) {
-        ours->buckets[b] += theirs.buckets[b];
-      }
-    }
+    ours->merge(theirs);
   }
   return *this;
+}
+
+void MetricValue::merge(const MetricValue& other) {
+  if (kind != other.kind || bounds != other.bounds ||
+      buckets.size() != other.buckets.size()) {
+    throw std::invalid_argument("obs: metric '" + other.name +
+                                "' disagrees on kind or bucket bounds");
+  }
+  if (kind == MetricKind::kGauge) {
+    value = std::max(value, other.value);
+  } else {
+    value += other.value;
+  }
+  count = saturating_add(count, other.count);
+  sum += other.sum;
+  rejected = saturating_add(rejected, other.rejected);
+  for (std::size_t b = 0; b < buckets.size(); ++b) {
+    buckets[b] = saturating_add(buckets[b], other.buckets[b]);
+  }
+}
+
+double MetricValue::quantile(double q) const {
+  std::uint64_t total = 0;
+  for (const std::uint64_t c : buckets) {
+    total = saturating_add(total, c);
+  }
+  if (total == 0) {
+    return 0.0;
+  }
+  const double target = std::clamp(q, 0.0, 1.0) * static_cast<double>(total);
+  std::uint64_t cum = 0;
+  for (std::size_t i = 0; i < buckets.size(); ++i) {
+    const std::uint64_t next = saturating_add(cum, buckets[i]);
+    if (static_cast<double>(next) >= target && buckets[i] > 0) {
+      // The +inf bucket has no width; clamp its estimate to the last
+      // finite edge rather than inventing an upper bound.
+      if (i >= bounds.size()) {
+        break;
+      }
+      const double lo = i == 0 ? 0.0 : bounds[i - 1];
+      const double into = (target - static_cast<double>(cum)) /
+                          static_cast<double>(buckets[i]);
+      return lo + (bounds[i] - lo) * std::clamp(into, 0.0, 1.0);
+    }
+    cum = next;
+  }
+  return bounds.empty() ? 0.0 : bounds.back();
 }
 
 }  // namespace pftk::obs

@@ -42,6 +42,14 @@ struct MetricId {
   [[nodiscard]] bool valid() const noexcept { return index != 0xffffffffu; }
 };
 
+/// a + b, clamped at UINT64_MAX instead of wrapping: a wrapped count
+/// would silently break every identity and quantile derived from it.
+/// Every histogram count sum in the obs and serve layers goes through it.
+[[nodiscard]] constexpr std::uint64_t saturating_add(std::uint64_t a,
+                                                     std::uint64_t b) noexcept {
+  return b > UINT64_MAX - a ? UINT64_MAX : a + b;
+}
+
 /// One merged metric in a snapshot.
 struct MetricValue {
   std::string name;
@@ -54,6 +62,17 @@ struct MetricValue {
   std::uint64_t count = 0;             ///< finite observations
   double sum = 0.0;                    ///< sum of finite observations
   std::uint64_t rejected = 0;          ///< non-finite observations refused
+
+  /// Folds `other` in: counters sum, gauges take the max, histogram
+  /// buckets, count and rejected add through saturating_add. The name
+  /// and help are kept. @throws std::invalid_argument when the kind or
+  /// the bucket bounds differ.
+  void merge(const MetricValue& other);
+
+  /// Histogram quantile estimate (q in [0,1]), linearly interpolated
+  /// inside the bucket that holds it; 0 when empty. The +inf bucket
+  /// clamps to the last finite edge.
+  [[nodiscard]] double quantile(double q) const;
 };
 
 /// Deterministic merge result of every shard.

@@ -1,7 +1,5 @@
 #include "obs/standard_metrics.hpp"
 
-#include <utility>
-
 namespace pftk::obs {
 
 StandardMetrics StandardMetrics::register_on(MetricsRegistry& r) {
@@ -74,75 +72,6 @@ StandardMetrics StandardMetrics::register_on(MetricsRegistry& r) {
                           "Model-checker branches pruned at visited states");
   m.mc_violations = r.counter("pftk_mc_violations_total",
                               "Model-checker violations found");
-  return m;
-}
-
-ServeMetrics ServeMetrics::register_on(MetricsRegistry& r,
-                                       std::vector<double> latency_bounds,
-                                       std::vector<double> queue_wait_bounds) {
-  ServeMetrics m;
-  m.requests = r.counter("pftk_serve_requests_total",
-                         "Requests admitted to a queueing decision");
-  m.served = r.counter("pftk_serve_served_total", "Requests answered OK");
-  m.shed = r.counter("pftk_serve_shed_total",
-                     "Requests shed with BUSY at the admission watermark");
-  m.deadline_missed = r.counter("pftk_serve_deadline_missed_total",
-                                "Requests shed after their deadline expired");
-  m.internal_errors = r.counter("pftk_serve_internal_errors_total",
-                                "Requests answered ERR INTERNAL");
-  m.protocol_errors = r.counter("pftk_serve_protocol_errors_total",
-                                "Lines rejected with BADREQ");
-  m.oversized = r.counter("pftk_serve_oversized_lines_total",
-                          "Lines rejected with TOOBIG at the byte cap");
-  m.pings = r.counter("pftk_serve_pings_total", "PING round trips");
-  m.connections = r.counter("pftk_serve_connections_total", "Clients accepted");
-  m.rejected_connections = r.counter("pftk_serve_rejected_connections_total",
-                                     "Clients turned away over the client cap");
-  m.disconnects = r.counter("pftk_serve_client_disconnects_total",
-                            "Clients lost on the response path");
-  m.batches = r.counter("pftk_serve_batches_total",
-                        "Same-key MODEL batches drained together");
-  m.batched_requests = r.counter("pftk_serve_batched_requests_total",
-                                 "Requests evaluated inside those batches");
-  m.calib_chunks = r.counter("pftk_serve_calib_chunks_total",
-                             "CALIB trace chunks parsed (deadline checkpoints)");
-  m.metrics_flushes = r.counter("pftk_serve_metrics_flushes_total",
-                                "Durable metrics snapshots written");
-  m.metrics_flush_failures =
-      r.counter("pftk_serve_metrics_flush_failures_total",
-                "Metrics snapshot writes that failed (the previous one stays)");
-  m.degraded = r.counter("pftk_serve_degraded_total",
-                         "Requests answered on the degraded approx path");
-  m.degrade_transitions =
-      r.counter("pftk_serve_degrade_transitions_total",
-                "Local degraded-mode on/off flips (shed-rate watermark)");
-  m.queue_peak = r.gauge("pftk_serve_queue_peak",
-                         "High-water queued requests over every shard");
-  m.latency_seconds = r.histogram("pftk_serve_latency_seconds",
-                                  "Admission-to-response latency (wall seconds)",
-                                  std::move(latency_bounds));
-  m.queue_wait_ms =
-      r.histogram("pftk_serve_queue_wait_ms",
-                  "Admission-to-dequeue wait (milliseconds, merged shards)",
-                  std::move(queue_wait_bounds));
-  return m;
-}
-
-SupervisorMetrics SupervisorMetrics::register_on(MetricsRegistry& r) {
-  SupervisorMetrics m;
-  m.forks = r.counter("pftk_serve_worker_forks_total",
-                      "Worker processes forked (initial + restarts)");
-  m.restarts = r.counter("pftk_serve_worker_restarts_total",
-                         "Worker restarts after crash/error exits");
-  m.crashes = r.counter("pftk_serve_worker_crashes_total",
-                        "Worker exits classified as crashes");
-  m.stalls = r.counter("pftk_serve_worker_stalls_total",
-                       "Workers SIGKILLed for heartbeat silence");
-  m.probe_failures = r.counter("pftk_serve_probe_failures_total",
-                               "Self-PING liveness probe failures");
-  m.degrade_flips =
-      r.counter("pftk_serve_supervisor_degrade_transitions_total",
-                "Fleet degrade-flag flips driven by restart pressure");
   return m;
 }
 

@@ -4,7 +4,9 @@
 // the same metric names, so dashboards and the EXPERIMENTS.md reference
 // stay true no matter which command wrote the file. Names follow
 // Prometheus conventions: `_total` counters, `_seconds` histograms,
-// plain gauges for high-water marks.
+// plain gauges for high-water marks. The daemon's pftk_serve_* names are
+// not here: each is declared once, in the serve counter table
+// (for_each_counter in serve/serve_metrics.hpp).
 #pragma once
 
 #include "obs/event_loop_stats.hpp"
@@ -67,55 +69,6 @@ struct StandardMetrics {
 
   /// Copies an event-loop sink into the counters/gauges on `shard`.
   void record_event_loop(MetricsShard& shard, const EventLoopStats& stats) const;
-};
-
-/// The canonical serving metric set (`pftk serve`). Registered
-/// separately from StandardMetrics: the daemon derives these from its
-/// own crash-safe atomic totals (src/serve/serve_metrics.hpp) rather
-/// than recording through single-writer shards, but the *names* live
-/// here so every exporter and dashboard agrees on them.
-struct ServeMetrics {
-  MetricId requests;          ///< pftk_serve_requests_total (admitted)
-  MetricId served;            ///< pftk_serve_served_total
-  MetricId shed;              ///< pftk_serve_shed_total (BUSY rejections)
-  MetricId deadline_missed;   ///< pftk_serve_deadline_missed_total
-  MetricId internal_errors;   ///< pftk_serve_internal_errors_total
-  MetricId protocol_errors;   ///< pftk_serve_protocol_errors_total
-  MetricId oversized;         ///< pftk_serve_oversized_lines_total
-  MetricId pings;             ///< pftk_serve_pings_total
-  MetricId connections;       ///< pftk_serve_connections_total
-  MetricId rejected_connections;  ///< pftk_serve_rejected_connections_total
-  MetricId disconnects;       ///< pftk_serve_client_disconnects_total
-  MetricId batches;           ///< pftk_serve_batches_total
-  MetricId batched_requests;  ///< pftk_serve_batched_requests_total
-  MetricId calib_chunks;      ///< pftk_serve_calib_chunks_total
-  MetricId metrics_flushes;   ///< pftk_serve_metrics_flushes_total
-  MetricId metrics_flush_failures;  ///< pftk_serve_metrics_flush_failures_total
-  MetricId degraded;          ///< pftk_serve_degraded_total (approx-path answers)
-  MetricId degrade_transitions;  ///< pftk_serve_degrade_transitions_total
-  MetricId queue_peak;        ///< pftk_serve_queue_peak (gauge)
-  MetricId latency_seconds;   ///< pftk_serve_latency_seconds (histogram)
-  MetricId queue_wait_ms;     ///< pftk_serve_queue_wait_ms (histogram)
-
-  /// Registers the set; `latency_bounds` (seconds) and
-  /// `queue_wait_bounds` (milliseconds) become the histogram edges.
-  [[nodiscard]] static ServeMetrics register_on(
-      MetricsRegistry& registry, std::vector<double> latency_bounds,
-      std::vector<double> queue_wait_bounds);
-};
-
-/// Worker-pool supervision counters (`pftk serve --workers N`). Derived
-/// by the parent from robust::SupervisorStats at drain time and merged
-/// into the fleet bundle alongside the per-worker serve counters.
-struct SupervisorMetrics {
-  MetricId forks;           ///< pftk_serve_worker_forks_total
-  MetricId restarts;        ///< pftk_serve_worker_restarts_total
-  MetricId crashes;         ///< pftk_serve_worker_crashes_total
-  MetricId stalls;          ///< pftk_serve_worker_stalls_total
-  MetricId probe_failures;  ///< pftk_serve_probe_failures_total
-  MetricId degrade_flips;   ///< pftk_serve_supervisor_degrade_transitions_total
-
-  [[nodiscard]] static SupervisorMetrics register_on(MetricsRegistry& registry);
 };
 
 }  // namespace pftk::obs

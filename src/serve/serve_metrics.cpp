@@ -5,82 +5,66 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "obs/standard_metrics.hpp"
+#include "robust/supervisor/supervisor.hpp"
 
 namespace pftk::serve {
 
 namespace {
 
-/// fetch_add that clamps at UINT64_MAX instead of wrapping to 0 — a
-/// wrapped bucket count would silently break every identity and
-/// quantile derived from it.
-void saturating_add(std::atomic<std::uint64_t>& a, std::uint64_t n) noexcept {
+/// fetch_add through obs::saturating_add: a bucket clamps at UINT64_MAX
+/// instead of wrapping to a silently small count.
+void saturating_fetch_add(std::atomic<std::uint64_t>& a,
+                          std::uint64_t n) noexcept {
   std::uint64_t cur = a.load(std::memory_order_relaxed);
-  while (cur != UINT64_MAX) {
-    const std::uint64_t next =
-        n > UINT64_MAX - cur ? UINT64_MAX : cur + n;
-    if (a.compare_exchange_weak(cur, next, std::memory_order_relaxed)) {
-      return;
-    }
+  while (cur != UINT64_MAX &&
+         !a.compare_exchange_weak(cur, obs::saturating_add(cur, n),
+                                  std::memory_order_relaxed)) {
   }
 }
 
-std::uint64_t saturating_sum(std::uint64_t a, std::uint64_t b) noexcept {
-  return b > UINT64_MAX - a ? UINT64_MAX : a + b;
+/// A counter or gauge metric for `row` holding `value`.
+obs::MetricValue row_metric(const MetricRow& row, std::uint64_t value) {
+  obs::MetricValue m;
+  m.name = row.name;
+  m.help = row.help;
+  m.kind = row.kind;
+  m.value = static_cast<double>(value);
+  return m;
 }
 
-/// Shared quantile walk over plain bucket counts (the atomic histogram
-/// and the merged snapshot must agree on the estimate by construction).
-double quantile_from_counts(const std::vector<double>& bounds,
-                            const std::vector<std::uint64_t>& counts,
-                            double q) {
-  std::uint64_t total = 0;
-  for (const auto c : counts) {
-    total = saturating_sum(total, c);
-  }
-  if (total == 0) {
-    return 0.0;
-  }
-  q = std::clamp(q, 0.0, 1.0);
-  const double target = q * static_cast<double>(total);
-  std::uint64_t cum = 0;
-  for (std::size_t i = 0; i < counts.size(); ++i) {
-    const std::uint64_t next = saturating_sum(cum, counts[i]);
-    if (static_cast<double>(next) >= target && counts[i] > 0) {
-      const double lo = i == 0 ? 0.0 : bounds[i - 1];
-      // The +inf bucket has no width; clamp its estimate to the last
-      // finite edge rather than inventing an upper bound.
-      if (i >= bounds.size()) {
-        return bounds.empty() ? 0.0 : bounds.back();
-      }
-      const double hi = bounds[i];
-      const double into =
-          (target - static_cast<double>(cum)) / static_cast<double>(counts[i]);
-      return lo + (hi - lo) * std::clamp(into, 0.0, 1.0);
-    }
-    cum = next;
-  }
-  return bounds.empty() ? 0.0 : bounds.back();
+/// `histogram` renamed to `row`.
+obs::MetricValue row_metric(const MetricRow& row, obs::MetricValue histogram) {
+  histogram.name = row.name;
+  histogram.help = row.help;
+  return histogram;
 }
+
+/// The supervisor parent's exported counters, one row per
+/// robust::SupervisorStats member.
+struct SupervisorRow {
+  std::uint64_t robust::SupervisorStats::*field;
+  MetricRow row;
+};
+constexpr SupervisorRow kSupervisorRows[] = {
+    {&robust::SupervisorStats::forks,
+     {"pftk_serve_worker_forks_total",
+      "Worker processes forked (initial + restarts)"}},
+    {&robust::SupervisorStats::restarts,
+     {"pftk_serve_worker_restarts_total",
+      "Worker restarts after crash/error exits"}},
+    {&robust::SupervisorStats::crashes,
+     {"pftk_serve_worker_crashes_total", "Worker exits classified as crashes"}},
+    {&robust::SupervisorStats::stalls,
+     {"pftk_serve_worker_stalls_total",
+      "Workers SIGKILLed for heartbeat silence"}},
+    {&robust::SupervisorStats::probe_failures,
+     {"pftk_serve_probe_failures_total", "Self-PING liveness probe failures"}},
+    {&robust::SupervisorStats::degrade_transitions,
+     {"pftk_serve_supervisor_degrade_transitions_total",
+      "Fleet degrade-flag flips driven by restart pressure"}},
+};
 
 }  // namespace
-
-void HistogramSnapshot::merge(const HistogramSnapshot& other) {
-  if (bounds != other.bounds || buckets.size() != other.buckets.size()) {
-    throw std::invalid_argument(
-        "HistogramSnapshot::merge: bucket layouts differ");
-  }
-  for (std::size_t i = 0; i < buckets.size(); ++i) {
-    buckets[i] = saturating_sum(buckets[i], other.buckets[i]);
-  }
-  count = saturating_sum(count, other.count);
-  sum += other.sum;
-  rejected = saturating_sum(rejected, other.rejected);
-}
-
-double HistogramSnapshot::quantile(double q) const {
-  return quantile_from_counts(bounds, buckets, q);
-}
 
 ConcurrentHistogram::ConcurrentHistogram(std::vector<double> bounds)
     : bounds_(std::move(bounds)), buckets_(bounds_.size() + 1) {
@@ -98,37 +82,28 @@ void ConcurrentHistogram::observe_n(double x, std::uint64_t n) noexcept {
     return;
   }
   if (!std::isfinite(x)) {
-    saturating_add(rejected_, n);
+    saturating_fetch_add(rejected_, n);
     return;
   }
   // Inclusive upper edges, like the obs registry: x == edge lands in
   // that edge's bucket.
   const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), x);
   const auto idx = static_cast<std::size_t>(it - bounds_.begin());
-  saturating_add(buckets_[idx], n);
-  saturating_add(count_, n);
+  saturating_fetch_add(buckets_[idx], n);
+  saturating_fetch_add(count_, n);
   sum_.fetch_add(x * static_cast<double>(n), std::memory_order_relaxed);
 }
 
-std::vector<std::uint64_t> ConcurrentHistogram::bucket_counts() const {
-  std::vector<std::uint64_t> out(buckets_.size());
-  for (std::size_t i = 0; i < buckets_.size(); ++i) {
-    out[i] = buckets_[i].load(std::memory_order_relaxed);
-  }
-  return out;
-}
-
-double ConcurrentHistogram::quantile(double q) const {
-  return quantile_from_counts(bounds_, bucket_counts(), q);
-}
-
-HistogramSnapshot ConcurrentHistogram::snapshot() const {
-  HistogramSnapshot snap;
+obs::MetricValue ConcurrentHistogram::snapshot() const {
+  obs::MetricValue snap;
+  snap.kind = obs::MetricKind::kHistogram;
   snap.bounds = bounds_;
-  snap.buckets = bucket_counts();
-  snap.count = count();
-  snap.sum = sum();
-  snap.rejected = rejected();
+  for (const auto& bucket : buckets_) {
+    snap.buckets.push_back(bucket.load(std::memory_order_relaxed));
+  }
+  snap.count = count_.load(std::memory_order_relaxed);
+  snap.sum = sum_.load(std::memory_order_relaxed);
+  snap.rejected = rejected_.load(std::memory_order_relaxed);
   return snap;
 }
 
@@ -144,28 +119,17 @@ std::vector<double> default_queue_wait_bounds_ms() {
 
 ServeSummary summarize(const ServeTotals& totals,
                        const ConcurrentHistogram& latency,
-                       const HistogramSnapshot& queue_wait) {
+                       const obs::MetricValue& queue_wait) {
   ServeSummary s;
-  s.requests = totals.requests.load();
-  s.served = totals.served.load();
-  s.shed = totals.shed.load();
-  s.deadline_missed = totals.deadline_missed.load();
-  s.internal_errors = totals.internal_errors.load();
-  s.protocol_errors = totals.protocol_errors.load();
-  s.oversized = totals.oversized.load();
-  s.pings = totals.pings.load();
-  s.connections = totals.connections.load();
-  s.rejected_connections = totals.rejected_connections.load();
-  s.disconnects = totals.disconnects.load();
-  s.batches = totals.batches.load();
-  s.batched_requests = totals.batched_requests.load();
-  s.calib_chunks = totals.calib_chunks.load();
-  s.degraded = totals.degraded.load();
-  s.degrade_transitions = totals.degrade_transitions.load();
-  s.queue_peak = totals.queue_peak.load();
-  s.metrics_flush_failures = totals.metrics_flush_failures.load();
-  s.latency_p50_s = latency.quantile(0.50);
-  s.latency_p99_s = latency.quantile(0.99);
+  for_each_counter(
+      [](const MetricRow&, std::uint64_t& out,
+         const std::atomic<std::uint64_t>& in) {
+        out = in.load(std::memory_order_relaxed);
+      },
+      s, totals);
+  const obs::MetricValue lat = latency.snapshot();
+  s.latency_p50_s = lat.quantile(0.50);
+  s.latency_p99_s = lat.quantile(0.99);
   s.queue_wait_p50_ms = queue_wait.quantile(0.50);
   s.queue_wait_p99_ms = queue_wait.quantile(0.99);
   return s;
@@ -195,100 +159,46 @@ std::string ServeSummary::describe() const {
 
 obs::ObsBundle make_bundle(const ServeTotals& totals,
                            const ConcurrentHistogram& latency,
-                           const HistogramSnapshot& queue_wait) {
-  obs::MetricsRegistry registry;
-  const auto met = obs::ServeMetrics::register_on(registry, latency.bounds(),
-                                                  queue_wait.bounds);
-  registry.freeze(1);
-  auto& shard = registry.shard(0);
-  const auto add = [&shard](obs::MetricId id,
-                            const std::atomic<std::uint64_t>& v) {
-    shard.add(id, static_cast<double>(v.load(std::memory_order_relaxed)));
-  };
-  add(met.requests, totals.requests);
-  add(met.served, totals.served);
-  add(met.shed, totals.shed);
-  add(met.deadline_missed, totals.deadline_missed);
-  add(met.internal_errors, totals.internal_errors);
-  add(met.protocol_errors, totals.protocol_errors);
-  add(met.oversized, totals.oversized);
-  add(met.pings, totals.pings);
-  add(met.connections, totals.connections);
-  add(met.rejected_connections, totals.rejected_connections);
-  add(met.disconnects, totals.disconnects);
-  add(met.batches, totals.batches);
-  add(met.batched_requests, totals.batched_requests);
-  add(met.calib_chunks, totals.calib_chunks);
-  add(met.metrics_flushes, totals.metrics_flushes);
-  add(met.metrics_flush_failures, totals.metrics_flush_failures);
-  add(met.degraded, totals.degraded);
-  add(met.degrade_transitions, totals.degrade_transitions);
-  shard.set(met.queue_peak,
-            static_cast<double>(totals.queue_peak.load(std::memory_order_relaxed)));
-
+                           const obs::MetricValue& queue_wait) {
   obs::ObsBundle bundle;
   bundle.source = "serve";
-  bundle.metrics = registry.snapshot();
-  // Splice the concurrent histogram into the snapshot slot the registry
-  // reserved for it: same name, same bounds, exact bucket counts.
-  for (auto& metric : bundle.metrics.metrics) {
-    if (metric.name == "pftk_serve_latency_seconds") {
-      metric.buckets = latency.bucket_counts();
-      metric.count = latency.count();
-      metric.sum = latency.sum();
-      metric.rejected = latency.rejected();
-    } else if (metric.name == "pftk_serve_queue_wait_ms") {
-      metric.buckets = queue_wait.buckets;
-      metric.count = queue_wait.count;
-      metric.sum = queue_wait.sum;
-      metric.rejected = queue_wait.rejected;
-    }
-  }
+  auto& out = bundle.metrics.metrics;
+  for_each_counter(
+      [&out](const MetricRow& row, const std::atomic<std::uint64_t>& v) {
+        out.push_back(row_metric(row, v.load(std::memory_order_relaxed)));
+      },
+      totals);
+  out.push_back(row_metric(kLatencyRow, latency.snapshot()));
+  out.push_back(row_metric(kQueueWaitRow, queue_wait));
   return bundle;
 }
 
 ServeSummary summary_from_metrics(const obs::MetricsSnapshot& metrics) {
-  const auto counter = [&metrics](const char* name) -> std::uint64_t {
-    const obs::MetricValue* m = metrics.find(name);
-    return m == nullptr ? 0 : static_cast<std::uint64_t>(m->value);
-  };
   ServeSummary s;
-  s.requests = counter("pftk_serve_requests_total");
-  s.served = counter("pftk_serve_served_total");
-  s.shed = counter("pftk_serve_shed_total");
-  s.deadline_missed = counter("pftk_serve_deadline_missed_total");
-  s.internal_errors = counter("pftk_serve_internal_errors_total");
-  s.protocol_errors = counter("pftk_serve_protocol_errors_total");
-  s.oversized = counter("pftk_serve_oversized_lines_total");
-  s.pings = counter("pftk_serve_pings_total");
-  s.connections = counter("pftk_serve_connections_total");
-  s.rejected_connections = counter("pftk_serve_rejected_connections_total");
-  s.disconnects = counter("pftk_serve_client_disconnects_total");
-  s.batches = counter("pftk_serve_batches_total");
-  s.batched_requests = counter("pftk_serve_batched_requests_total");
-  s.calib_chunks = counter("pftk_serve_calib_chunks_total");
-  s.degraded = counter("pftk_serve_degraded_total");
-  s.degrade_transitions = counter("pftk_serve_degrade_transitions_total");
-  s.queue_peak = counter("pftk_serve_queue_peak");
-  s.metrics_flush_failures = counter("pftk_serve_metrics_flush_failures_total");
-  const auto quantiles = [&metrics](const char* name, double& p50, double& p99) {
-    const obs::MetricValue* m = metrics.find(name);
-    if (m == nullptr || m->buckets.empty()) {
-      return;
-    }
-    HistogramSnapshot h;
-    h.bounds = m->bounds;
-    h.buckets = m->buckets;
-    h.count = m->count;
-    h.sum = m->sum;
-    h.rejected = m->rejected;
-    p50 = h.quantile(0.50);
-    p99 = h.quantile(0.99);
-  };
-  quantiles("pftk_serve_latency_seconds", s.latency_p50_s, s.latency_p99_s);
-  quantiles("pftk_serve_queue_wait_ms", s.queue_wait_p50_ms,
-            s.queue_wait_p99_ms);
+  for_each_counter(
+      [&metrics](const MetricRow& row, std::uint64_t& out) {
+        const obs::MetricValue* m = metrics.find(row.name);
+        out = m == nullptr ? 0 : static_cast<std::uint64_t>(m->value);
+      },
+      s);
+  if (const obs::MetricValue* m = metrics.find(kLatencyRow.name)) {
+    s.latency_p50_s = m->quantile(0.50);
+    s.latency_p99_s = m->quantile(0.99);
+  }
+  if (const obs::MetricValue* m = metrics.find(kQueueWaitRow.name)) {
+    s.queue_wait_p50_ms = m->quantile(0.50);
+    s.queue_wait_p99_ms = m->quantile(0.99);
+  }
   return s;
+}
+
+obs::ObsBundle supervisor_bundle(const robust::SupervisorStats& stats) {
+  obs::ObsBundle bundle;
+  bundle.source = "serve";
+  for (const SupervisorRow& r : kSupervisorRows) {
+    bundle.metrics.metrics.push_back(row_metric(r.row, stats.*r.field));
+  }
+  return bundle;
 }
 
 std::uint64_t busy_retry_hint_ms(double service_ewma_s,

@@ -24,26 +24,11 @@
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 
+namespace pftk::robust {
+struct SupervisorStats;
+}  // namespace pftk::robust
+
 namespace pftk::serve {
-
-/// Plain-value capture of a histogram's counters. Mergeable, so the
-/// per-shard queue-wait histograms can be combined into one snapshot at
-/// summary/flush time without the workers ever sharing cache lines.
-struct HistogramSnapshot {
-  std::vector<double> bounds;
-  std::vector<std::uint64_t> buckets;  ///< bounds.size() + 1 (+inf last)
-  std::uint64_t count = 0;
-  double sum = 0.0;
-  std::uint64_t rejected = 0;
-
-  /// Adds `other`'s counts into this snapshot (saturating).
-  /// @throws std::invalid_argument when the bounds differ.
-  void merge(const HistogramSnapshot& other);
-
-  /// Linear-interpolated quantile estimate (q in [0,1]) from the bucket
-  /// counts; 0 when empty. The +inf bucket clamps to the last edge.
-  [[nodiscard]] double quantile(double q) const;
-};
 
 /// Latency histogram with atomically-updated buckets: safe for any
 /// number of concurrent observers, mergeable into the obs snapshot
@@ -64,27 +49,10 @@ class ConcurrentHistogram {
   /// saturation region without 2^64 calls.
   void observe_n(double x, std::uint64_t n) noexcept;
 
-  [[nodiscard]] const std::vector<double>& bounds() const noexcept {
-    return bounds_;
-  }
-  [[nodiscard]] std::uint64_t count() const noexcept {
-    return count_.load(std::memory_order_relaxed);
-  }
-  /// Bucket counts including the final +inf bucket.
-  [[nodiscard]] std::vector<std::uint64_t> bucket_counts() const;
-  [[nodiscard]] double sum() const noexcept {
-    return sum_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t rejected() const noexcept {
-    return rejected_.load(std::memory_order_relaxed);
-  }
-
-  /// Linear-interpolated quantile estimate (q in [0,1]) from the bucket
-  /// counts; 0 when empty. The +inf bucket clamps to the last edge.
-  [[nodiscard]] double quantile(double q) const;
-
-  /// Point-in-time copy of every counter (mergeable across shards).
-  [[nodiscard]] HistogramSnapshot snapshot() const;
+  /// Point-in-time copy of every counter as an unnamed histogram
+  /// MetricValue: shards merge through MetricValue::merge, quantiles
+  /// come from MetricValue::quantile.
+  [[nodiscard]] obs::MetricValue snapshot() const;
 
  private:
   std::vector<double> bounds_;
@@ -103,35 +71,115 @@ class ConcurrentHistogram {
 /// through its buckets.
 [[nodiscard]] std::vector<double> default_queue_wait_bounds_ms();
 
-/// Every serving counter, updated with relaxed atomics from any thread.
-struct ServeTotals {
+/// One exported serve metric: its pftk_serve_* name, help text and kind.
+struct MetricRow {
+  const char* name;
+  const char* help;
+  obs::MetricKind kind = obs::MetricKind::kCounter;
+};
+
+/// Every serving counter, declared once. ServeTotals holds them as
+/// relaxed atomics that any thread bumps by name; ServeSummary holds
+/// plain values. for_each_counter is the table that exports them.
+template <class T>
+struct ServeCounters {
   // Admission-identity counters (requests = sum of the next four).
-  std::atomic<std::uint64_t> requests{0};         ///< parsed + admitted to a queue decision
-  std::atomic<std::uint64_t> served{0};           ///< answered OK
-  std::atomic<std::uint64_t> shed{0};             ///< answered BUSY at the watermark
-  std::atomic<std::uint64_t> deadline_missed{0};  ///< answered DEADLINE_EXCEEDED
-  std::atomic<std::uint64_t> internal_errors{0};  ///< answered ERR INTERNAL
+  T requests{};         ///< parsed + admitted to a queue decision
+  T served{};           ///< answered OK
+  T shed{};             ///< answered BUSY at the watermark
+  T deadline_missed{};  ///< answered DEADLINE_EXCEEDED
+  T internal_errors{};  ///< answered ERR INTERNAL
   // Outside the identity: never admitted, or not requests at all.
-  std::atomic<std::uint64_t> protocol_errors{0};  ///< BADREQ answers
-  std::atomic<std::uint64_t> oversized{0};        ///< TOOBIG answers
-  std::atomic<std::uint64_t> pings{0};            ///< PING round trips
-  std::atomic<std::uint64_t> connections{0};      ///< accepted clients
-  std::atomic<std::uint64_t> rejected_connections{0};  ///< over max_clients
-  std::atomic<std::uint64_t> disconnects{0};      ///< write-side client losses
+  T protocol_errors{};       ///< BADREQ answers
+  T oversized{};             ///< TOOBIG answers
+  T pings{};                 ///< PING round trips
+  T connections{};           ///< accepted clients
+  T rejected_connections{};  ///< over max_clients
+  T disconnects{};           ///< write-side client losses
   // Batching effectiveness.
-  std::atomic<std::uint64_t> batches{0};           ///< multi-request drains
-  std::atomic<std::uint64_t> batched_requests{0};  ///< requests inside them
-  std::atomic<std::uint64_t> calib_chunks{0};      ///< trace chunks parsed
+  T batches{};           ///< multi-request drains
+  T batched_requests{};  ///< requests inside them
+  T calib_chunks{};      ///< trace chunks parsed
+  T metrics_flushes{};
+  T metrics_flush_failures{};
   // Graceful degradation (inside the identity: a degraded answer is
   // still `served`; this counts how many were answered on the eq-33
   // approx path instead of the full eq-32 model).
-  std::atomic<std::uint64_t> degraded{0};
-  std::atomic<std::uint64_t> degrade_transitions{0};  ///< local watermark flips
+  T degraded{};
+  T degrade_transitions{};  ///< local watermark flips
   // High-water mark over every shard queue (gauge semantics).
-  std::atomic<std::uint64_t> queue_peak{0};
-  std::atomic<std::uint64_t> metrics_flushes{0};
-  std::atomic<std::uint64_t> metrics_flush_failures{0};
+  T queue_peak{};
+};
 
+/// Calls `f(row, c.field...)` once per counter, in export order, passing
+/// the same field of every `c`. The only place a serve counter is named.
+template <class F, class... C>
+void for_each_counter(F&& f, C&&... c) {
+  f(MetricRow{"pftk_serve_requests_total",
+              "Requests admitted to a queueing decision"},
+    c.requests...);
+  f(MetricRow{"pftk_serve_served_total", "Requests answered OK"}, c.served...);
+  f(MetricRow{"pftk_serve_shed_total",
+              "Requests shed with BUSY at the admission watermark"},
+    c.shed...);
+  f(MetricRow{"pftk_serve_deadline_missed_total",
+              "Requests shed after their deadline expired"},
+    c.deadline_missed...);
+  f(MetricRow{"pftk_serve_internal_errors_total",
+              "Requests answered ERR INTERNAL"},
+    c.internal_errors...);
+  f(MetricRow{"pftk_serve_protocol_errors_total", "Lines rejected with BADREQ"},
+    c.protocol_errors...);
+  f(MetricRow{"pftk_serve_oversized_lines_total",
+              "Lines rejected with TOOBIG at the byte cap"},
+    c.oversized...);
+  f(MetricRow{"pftk_serve_pings_total", "PING round trips"}, c.pings...);
+  f(MetricRow{"pftk_serve_connections_total", "Clients accepted"},
+    c.connections...);
+  f(MetricRow{"pftk_serve_rejected_connections_total",
+              "Clients turned away over the client cap"},
+    c.rejected_connections...);
+  f(MetricRow{"pftk_serve_client_disconnects_total",
+              "Clients lost on the response path"},
+    c.disconnects...);
+  f(MetricRow{"pftk_serve_batches_total",
+              "Same-key MODEL batches drained together"},
+    c.batches...);
+  f(MetricRow{"pftk_serve_batched_requests_total",
+              "Requests evaluated inside those batches"},
+    c.batched_requests...);
+  f(MetricRow{"pftk_serve_calib_chunks_total",
+              "CALIB trace chunks parsed (deadline checkpoints)"},
+    c.calib_chunks...);
+  f(MetricRow{"pftk_serve_metrics_flushes_total",
+              "Durable metrics snapshots written"},
+    c.metrics_flushes...);
+  f(MetricRow{"pftk_serve_metrics_flush_failures_total",
+              "Metrics snapshot writes that failed (the previous one stays)"},
+    c.metrics_flush_failures...);
+  f(MetricRow{"pftk_serve_degraded_total",
+              "Requests answered on the degraded approx path"},
+    c.degraded...);
+  f(MetricRow{"pftk_serve_degrade_transitions_total",
+              "Local degraded-mode on/off flips (shed-rate watermark)"},
+    c.degrade_transitions...);
+  f(MetricRow{"pftk_serve_queue_peak",
+              "High-water queued requests over every shard",
+              obs::MetricKind::kGauge},
+    c.queue_peak...);
+}
+
+/// The two serve histograms, exported after the counters.
+inline constexpr MetricRow kLatencyRow{
+    "pftk_serve_latency_seconds", "Admission-to-response latency (wall seconds)",
+    obs::MetricKind::kHistogram};
+inline constexpr MetricRow kQueueWaitRow{
+    "pftk_serve_queue_wait_ms",
+    "Admission-to-dequeue wait (milliseconds, merged shards)",
+    obs::MetricKind::kHistogram};
+
+/// Every serving counter, updated with relaxed atomics from any thread.
+struct ServeTotals : ServeCounters<std::atomic<std::uint64_t>> {
   void bump_queue_peak(std::uint64_t depth) noexcept {
     std::uint64_t seen = queue_peak.load(std::memory_order_relaxed);
     while (depth > seen &&
@@ -148,25 +196,7 @@ struct ServeTotals {
 };
 
 /// Plain-value copy of the totals for reports and summaries.
-struct ServeSummary {
-  std::uint64_t requests = 0;
-  std::uint64_t served = 0;
-  std::uint64_t shed = 0;
-  std::uint64_t deadline_missed = 0;
-  std::uint64_t internal_errors = 0;
-  std::uint64_t protocol_errors = 0;
-  std::uint64_t oversized = 0;
-  std::uint64_t pings = 0;
-  std::uint64_t connections = 0;
-  std::uint64_t rejected_connections = 0;
-  std::uint64_t disconnects = 0;
-  std::uint64_t batches = 0;
-  std::uint64_t batched_requests = 0;
-  std::uint64_t calib_chunks = 0;
-  std::uint64_t degraded = 0;
-  std::uint64_t degrade_transitions = 0;
-  std::uint64_t queue_peak = 0;
-  std::uint64_t metrics_flush_failures = 0;
+struct ServeSummary : ServeCounters<std::uint64_t> {
   double latency_p50_s = 0.0;  ///< histogram-estimated
   double latency_p99_s = 0.0;
   double queue_wait_p50_ms = 0.0;  ///< admission-to-dequeue, merged shards
@@ -182,14 +212,13 @@ struct ServeSummary {
 /// histogram (Server::merged_queue_wait()).
 [[nodiscard]] ServeSummary summarize(const ServeTotals& totals,
                                      const ConcurrentHistogram& latency,
-                                     const HistogramSnapshot& queue_wait);
+                                     const obs::MetricValue& queue_wait);
 
 /// Renders totals + latency + queue wait as a pftk-obs/1 bundle (source
-/// "serve") with the canonical pftk_serve_* names
-/// (obs/standard_metrics.hpp).
+/// "serve"): one metric per for_each_counter row, then the histograms.
 [[nodiscard]] obs::ObsBundle make_bundle(const ServeTotals& totals,
                                          const ConcurrentHistogram& latency,
-                                         const HistogramSnapshot& queue_wait);
+                                         const obs::MetricValue& queue_wait);
 
 /// Reconstructs a summary from a pftk_serve_* metrics snapshot — the
 /// inverse of make_bundle, used by the supervisor parent to check the
@@ -197,6 +226,11 @@ struct ServeSummary {
 /// files. Metrics absent from the snapshot read as zero.
 [[nodiscard]] ServeSummary summary_from_metrics(
     const obs::MetricsSnapshot& metrics);
+
+/// Renders the supervisor parent's SupervisorStats as the
+/// pftk_serve_worker_* counters it merges into the fleet bundle.
+[[nodiscard]] obs::ObsBundle supervisor_bundle(
+    const robust::SupervisorStats& stats);
 
 /// The BUSY `retry_ms=` backpressure hint: estimated queue drain time
 /// from the shard's service-time EWMA, clamped to [1, 30000] so a cold

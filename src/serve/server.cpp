@@ -285,10 +285,9 @@ ServeSummary Server::summary() const {
   return summarize(totals_, latency_, merged_queue_wait());
 }
 
-HistogramSnapshot Server::merged_queue_wait() const {
-  HistogramSnapshot merged{default_queue_wait_bounds_ms(),
-                           std::vector<std::uint64_t>(
-                               default_queue_wait_bounds_ms().size() + 1)};
+obs::MetricValue Server::merged_queue_wait() const {
+  obs::MetricValue merged =
+      ConcurrentHistogram(default_queue_wait_bounds_ms()).snapshot();
   for (const auto& shard : shards_) {
     merged.merge(shard->queue_wait_ms.snapshot());
   }
@@ -357,10 +356,11 @@ void Server::acceptor_loop() {
     readers_active_.fetch_add(1);
     std::thread([this, session = std::move(session)]() mutable {
       reader_loop(std::move(session));
-      {
-        std::lock_guard<std::mutex> lock(readers_mu_);
-        readers_active_.fetch_sub(1);
-      }
+      // Notify under the lock: once it is released, wait() may see the
+      // count reach 0 and ~Server may destroy the condition variable, so
+      // this detached thread must not touch it after the unlock.
+      std::lock_guard<std::mutex> lock(readers_mu_);
+      readers_active_.fetch_sub(1);
       readers_cv_.notify_all();
     }).detach();
   }

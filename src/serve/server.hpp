@@ -131,7 +131,7 @@ class Server {
   /// Every shard's queue-wait histogram merged into one snapshot — the
   /// metrics-side cross-check of the flight recorder's serve.queue_wait
   /// spans.
-  [[nodiscard]] HistogramSnapshot merged_queue_wait() const;
+  [[nodiscard]] obs::MetricValue merged_queue_wait() const;
 
  private:
   class ClientSession;

@@ -16,8 +16,6 @@
 
 #include "obs/export.hpp"
 #include "obs/flight/flight_recorder.hpp"
-#include "obs/metrics.hpp"
-#include "obs/standard_metrics.hpp"
 #include "robust/durable_file.hpp"
 #include "robust/shutdown.hpp"
 
@@ -123,25 +121,6 @@ int serve_worker(const SupervisedServeConfig& config, int listen_fd,
     std::fprintf(stderr, "[worker %d] fatal: %s\n", ctx.index, e.what());
     return robust::kExitFailure;
   }
-}
-
-/// Renders the parent's SupervisorStats with the canonical
-/// pftk_serve_worker_* names, for merging into the fleet bundle.
-obs::ObsBundle supervisor_bundle(const robust::SupervisorStats& stats) {
-  obs::MetricsRegistry registry;
-  const auto met = obs::SupervisorMetrics::register_on(registry);
-  registry.freeze(1);
-  auto& shard = registry.shard(0);
-  shard.add(met.forks, static_cast<double>(stats.forks));
-  shard.add(met.restarts, static_cast<double>(stats.restarts));
-  shard.add(met.crashes, static_cast<double>(stats.crashes));
-  shard.add(met.stalls, static_cast<double>(stats.stalls));
-  shard.add(met.probe_failures, static_cast<double>(stats.probe_failures));
-  shard.add(met.degrade_flips, static_cast<double>(stats.degrade_transitions));
-  obs::ObsBundle bundle;
-  bundle.source = "serve";
-  bundle.metrics = registry.snapshot();
-  return bundle;
 }
 
 }  // namespace

@@ -10,7 +10,7 @@
 //
 // Accounting stays exact per *surviving* worker: each worker drains a
 // durable pftk-obs/1 snapshot of its own totals at clean/interrupted
-// exit, and the parent folds them (plus its own SupervisorMetrics) with
+// exit, and the parent folds them (plus its supervisor_bundle) with
 // the shard-merge semantics into one fleet bundle whose identity
 //
 //   requests == served + shed + deadline_missed + internal_errors

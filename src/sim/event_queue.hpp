@@ -201,8 +201,8 @@ class EventQueue {
   /// Attaches an observability sink (nullptr detaches). The queue then
   /// counts schedules/executions/cancellations and tracks heap/slab
   /// high-water marks into it — one predictable branch per operation,
-  /// cheap enough for the hot path (the micro_hotpaths gate enforces
-  /// <= 10% dispatch overhead). The sink must outlive the attachment.
+  /// cheap enough for the hot path (the `pftk bench --gate` dispatch
+  /// gate enforces <= 10% overhead). The sink must outlive the attachment.
   void set_stats_sink(obs::EventLoopStats* sink) noexcept { stats_ = sink; }
 
   /// Current simulation clock.

@@ -78,6 +78,32 @@ TEST(ObsExport, PrometheusTextFollowsExpositionConventions) {
   EXPECT_NE(text.find("pftk_lat_seconds_sum "), std::string::npos);
 }
 
+TEST(ObsExport, PrometheusCumulativeBucketsDoNotWrap) {
+  // Cumulative le counts of a histogram with a bucket at UINT64_MAX must
+  // stay at the ceiling, not wrap past it to a small number.
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  MetricsSnapshot snapshot;
+  MetricValue mv;
+  mv.name = "pftk_saturated";
+  mv.help = "bucket at the ceiling";
+  mv.kind = MetricKind::kHistogram;
+  mv.bounds = {1.0, 2.0};
+  mv.buckets = {kMax, 5, 3};
+  mv.count = kMax;
+  snapshot.metrics.push_back(mv);
+  std::ostringstream os;
+  write_prometheus(os, snapshot);
+  const std::string text = os.str();
+  const std::string ceiling = std::to_string(kMax);
+  EXPECT_NE(text.find("pftk_saturated_bucket{le=\"1\"} " + ceiling + "\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("pftk_saturated_bucket{le=\"2\"} " + ceiling + "\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("pftk_saturated_bucket{le=\"+Inf\"} " + ceiling + "\n"),
+            std::string::npos)
+      << text;
+}
+
 TEST(ObsExport, JsonlRoundTripIsLossless) {
   const ObsBundle original = sample_bundle();
   std::stringstream stream;

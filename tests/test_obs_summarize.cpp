@@ -6,7 +6,9 @@
 // run, and the --json rendering is byte-stable against a golden file.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -295,6 +297,37 @@ TEST(ObsMergeBundles, ShardMergeSemanticsAcrossSnapshotFiles) {
   EXPECT_DOUBLE_EQ(back_served->value, 150.0);
   EXPECT_EQ(back.events.size(), 2u);
   EXPECT_EQ(back.events_dropped, 3u);
+}
+
+TEST(ObsMergeBundles, BucketAtTheCeilingStaysThereAcrossWorkers) {
+  // A worker snapshot whose bucket already sits at UINT64_MAX, merged
+  // with a worker that has 5 in the same bucket: the fleet count sticks
+  // at the ceiling instead of wrapping to 4.
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  MetricValue hist;
+  hist.name = "pftk_serve_latency_seconds";
+  hist.kind = MetricKind::kHistogram;
+  hist.bounds = {1.0};
+  hist.buckets = {kMax, 0};
+  hist.count = kMax;
+  hist.rejected = kMax;
+  ObsBundle pinned;
+  pinned.metrics.metrics.push_back(hist);
+  hist.buckets = {5, 0};
+  hist.count = 5;
+  hist.rejected = 2;
+  ObsBundle small;
+  small.metrics.metrics.push_back(hist);
+
+  ObsBundle fleet;
+  merge_obs_bundles(fleet, pinned);
+  merge_obs_bundles(fleet, small);
+  const MetricValue* lat = fleet.metrics.find("pftk_serve_latency_seconds");
+  ASSERT_NE(lat, nullptr);
+  EXPECT_EQ(lat->buckets, (std::vector<std::uint64_t>{kMax, 0}));
+  EXPECT_EQ(lat->count, kMax);
+  EXPECT_EQ(lat->rejected, kMax);
+  EXPECT_DOUBLE_EQ(lat->quantile(0.5), 0.5);
 }
 
 TEST(ObsMergeBundles, MismatchedKindsForSharedNameAreRejected) {
